@@ -149,20 +149,10 @@ let valid_prefix sealed_block =
   in
   take [] 0 sealed_block
 
-let recover ?obs image =
-  let torn_blocks = ref 0 in
-  let torn_records = ref 0 in
-  let records =
-    List.concat_map
-      (fun block ->
-        let kept, discarded = valid_prefix block in
-        if discarded > 0 then begin
-          incr torn_blocks;
-          torn_records := !torn_records + discarded
-        end;
-        kept)
-      image.blocks
-  in
+(* The pass every recovery shares: [records] are the trusted records in
+   scan order, each block already cut at its first bad checksum, and
+   [recovered] is a private copy of the stable version to redo onto. *)
+let replay ?obs ~recovered ~crash_time ~torn_blocks ~torn_records records =
   (* Pass 1 within the single scan: the committed transaction set is
      known once every record has been seen, so we fold the scan into a
      table first and then redo — still one read of the log. *)
@@ -175,7 +165,6 @@ let recover ?obs image =
       | Log_record.Commit -> Ids.Tid.Table.replace committed r.tid ()
       | Log_record.Begin | Log_record.Abort | Log_record.Data _ -> ())
     records;
-  let recovered = El_disk.Stable_db.copy image.stable in
   let applied = ref 0 in
   let skipped = ref 0 in
   List.iter
@@ -203,13 +192,13 @@ let recover ?obs image =
     (* Recovery happens conceptually at the crash instant; stamping
        the scan there keeps the trace timeline consistent even when
        the image is replayed later (or never) in wall-run order. *)
-    El_obs.Obs.emit_at o ~at:image.crash_time El_obs.Event.Recovery
+    El_obs.Obs.emit_at o ~at:crash_time El_obs.Event.Recovery
       (El_obs.Event.Recovery_scan
          { records = !scanned; applied = !applied; skipped = !skipped });
-    if !torn_blocks > 0 then
-      El_obs.Obs.emit_at o ~at:image.crash_time El_obs.Event.Recovery
+    if torn_blocks > 0 then
+      El_obs.Obs.emit_at o ~at:crash_time El_obs.Event.Recovery
         (El_obs.Event.Torn_discard
-           { blocks = !torn_blocks; records = !torn_records }));
+           { blocks = torn_blocks; records = torn_records }));
   {
     recovered;
     committed_tids =
@@ -217,9 +206,28 @@ let recover ?obs image =
     records_scanned = !scanned;
     redo_applied = !applied;
     redo_skipped = !skipped;
-    torn_blocks = !torn_blocks;
-    torn_records = !torn_records;
+    torn_blocks;
+    torn_records;
   }
+
+let recover ?obs image =
+  let torn_blocks = ref 0 in
+  let torn_records = ref 0 in
+  let records =
+    List.concat_map
+      (fun block ->
+        let kept, discarded = valid_prefix block in
+        if discarded > 0 then begin
+          incr torn_blocks;
+          torn_records := !torn_records + discarded
+        end;
+        kept)
+      image.blocks
+  in
+  replay ?obs
+    ~recovered:(El_disk.Stable_db.copy image.stable)
+    ~crash_time:image.crash_time ~torn_blocks:!torn_blocks
+    ~torn_records:!torn_records records
 
 (* ---- recovery from a store image ---- *)
 
@@ -247,9 +255,26 @@ let image_of_scan ~num_objects ?(reference = [])
     crash_time = Time.zero;
   }
 
+(* The scan already cut every block at its first bad checksum, so its
+   records are trusted as they stand and its discarded entries are only
+   counted — never materialized as seals, which keeps the work bounded
+   even when a hostile header claims 2^40 missing entries. *)
+let recover_scan ?obs ~num_objects (s : El_store.Log_store.scan) =
+  let torn_blocks, torn_records =
+    List.fold_left
+      (fun (blocks, records) (b : El_store.Log_store.block) ->
+        if b.sb_discarded > 0 then (blocks + 1, records + b.sb_discarded)
+        else (blocks, records))
+      (0, 0) s.s_blocks
+  in
+  replay ?obs
+    ~recovered:(El_disk.Stable_db.of_pairs ~num_objects s.s_stable)
+    ~crash_time:Time.zero ~torn_blocks ~torn_records
+    (List.concat_map (fun (b : El_store.Log_store.block) -> b.sb_records)
+       s.s_blocks)
+
 let recover_store ?obs ?upto ~num_objects backend =
-  let s = El_store.Log_store.scan ?upto backend in
-  recover ?obs (image_of_scan ~num_objects s)
+  recover_scan ?obs ~num_objects (El_store.Log_store.scan ?upto backend)
 
 type audit = {
   ok : bool;

@@ -101,7 +101,18 @@ val image_of_scan :
     rebuilt from the persisted install facts.  [reference] defaults to
     empty — a real restart has no ground truth; pass one to {!audit}
     against in-simulation expectations.  [crash_time] is {!Time.zero}:
-    a scanned image carries no clock. *)
+    a scanned image carries no clock.  Each discarded entry costs one
+    seal, so on an untrusted image (a header may claim any count)
+    prefer {!recover_scan}. *)
+
+val recover_scan :
+  ?obs:El_obs.Obs.t -> num_objects:int -> El_store.Log_store.scan -> result
+(** Replays a scan already in hand: the same result as {!recover} of
+    {!image_of_scan}, without lifting the scan into seals first — the
+    scan's discarded entries are counted, not materialized, so the
+    work stays bounded on any image.  A restart pairs it with
+    {!El_store.Log_store.attach_with_scan}, so the image is read and
+    decoded once. *)
 
 val recover_store :
   ?obs:El_obs.Obs.t ->
@@ -109,8 +120,8 @@ val recover_store :
   num_objects:int ->
   El_store.Backend.t ->
   result
-(** Scans the backend and runs {!recover} on the resulting image — the
-    real-restart path.  [upto] bounds the scan at a crash mark
+(** Scans the backend and runs {!recover_scan} on the result.  [upto]
+    bounds the scan at a crash mark
     ({!El_core.El_manager.persist_crash_mark}), replaying the image as
     it stood at that instant. *)
 

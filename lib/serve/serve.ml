@@ -59,14 +59,18 @@ let start cfg =
     if cfg.group_fsync then El_store.Log_store.Manual
     else El_store.Log_store.Immediate
   in
-  let store =
-    if cfg.fresh then El_store.Log_store.create ~sync_mode backend
-    else El_store.Log_store.attach ~sync_mode backend
+  (* One read of the image serves both the attach and the recovery:
+     the scan [attach_with_scan] returns is the view after its
+     torn-tail truncate, exactly the durable prefix a crashed
+     predecessor left behind. *)
+  let store, scan =
+    if cfg.fresh then
+      let store = El_store.Log_store.create ~sync_mode backend in
+      (store, El_store.Log_store.scan backend)
+    else El_store.Log_store.attach_with_scan ~sync_mode backend
   in
-  (* Attach already truncated any torn tail, so this scan replays
-     exactly the durable prefix a crashed predecessor left behind. *)
   let recovered =
-    El_recovery.Recovery.recover_store ~num_objects:cfg.num_objects backend
+    El_recovery.Recovery.recover_scan ~num_objects:cfg.num_objects scan
   in
   let engine = Engine.create ~seed:0 () in
   let killed = Hashtbl.create 64 in

@@ -65,7 +65,10 @@ type t
 val start : config -> t
 (** Opens (or creates) the image, recovers its committed state, and
     wires a fresh manager to it on a new store epoch — prior epochs'
-    blocks stay durable and are never shadowed by the new run.
+    blocks stay durable and are never shadowed by the new run.  The
+    attach and the recovery share one read and one scan of the image
+    ({!El_store.Log_store.attach_with_scan}); a torn tail is cut away
+    before recovery sees it.
     Raises [Unix.Unix_error] if the image path is unusable. *)
 
 val recovered : t -> El_recovery.Recovery.result

@@ -75,19 +75,26 @@ let decode_entry b ~pos =
   else begin
     let tag = Char.code (Bytes.get b pos) in
     let i off = Int64.to_int (Bytes.get_int64_le b (pos + off)) in
-    let tid = Ids.Tid.of_int (i 1) in
-    let version = i 17 in
-    let size = i 25 in
-    let timestamp = Time.of_us (i 33) in
-    match tag with
-    | 1 -> Some (Record (Log_record.begin_ ~tid ~size ~timestamp))
-    | 2 -> Some (Record (Log_record.commit ~tid ~size ~timestamp))
-    | 3 -> Some (Record (Log_record.abort ~tid ~size ~timestamp))
-    | 4 ->
-      let oid = Ids.Oid.of_int (i 9) in
-      Some (Record (Log_record.data ~tid ~oid ~version ~size ~timestamp))
-    | 5 -> Some (Stable { oid = Ids.Oid.of_int (i 9); version })
-    | _ -> None
+    let tid = i 1 and oid = i 9 and version = i 17 and size = i 25
+    and ts = i 33 in
+    (* A checksum-valid entry holding fields no encoder writes
+       (negative ids or times, a record without size) is rejected like
+       a torn one, so decoding never raises. *)
+    if tid < 0 || oid < 0 || ts < 0 then None
+    else
+      let tid = Ids.Tid.of_int tid and timestamp = Time.of_us ts in
+      match tag with
+      | 5 -> Some (Stable { oid = Ids.Oid.of_int oid; version })
+      | (1 | 2 | 3 | 4) when size <= 0 -> None
+      | 1 -> Some (Record (Log_record.begin_ ~tid ~size ~timestamp))
+      | 2 -> Some (Record (Log_record.commit ~tid ~size ~timestamp))
+      | 3 -> Some (Record (Log_record.abort ~tid ~size ~timestamp))
+      | 4 when version >= 0 ->
+        Some
+          (Record
+             (Log_record.data ~tid ~oid:(Ids.Oid.of_int oid) ~version ~size
+                ~timestamp))
+      | _ -> None
   end
 
 let encode_header_into b ~pos h =
@@ -106,10 +113,17 @@ let encode_header h =
   encode_header_into b ~pos:0 h;
   b
 
+(* The magic read as one little-endian word, so matching it allocates
+   nothing. *)
+let magic_le = Bytes.get_int32_le (Bytes.of_string magic) 0
+
+(* Counts above this would overflow the segment's byte length. *)
+let max_count = (max_int - header_bytes) / entry_bytes
+
 let decode_header b ~pos =
   if Bytes.length b - pos < header_bytes then
     invalid_arg "El_store.Codec.decode_header: short buffer";
-  if not (String.equal (Bytes.sub_string b pos 4) magic) then None
+  if not (Int32.equal (Bytes.get_int32_le b pos) magic_le) then None
   else if
     not
       (Int64.equal
@@ -118,11 +132,8 @@ let decode_header b ~pos =
   then None
   else
     let i off = Int64.to_int (Bytes.get_int64_le b (pos + off)) in
-    Some
-      {
-        h_epoch = i 4;
-        h_gen = i 12;
-        h_slot = i 20;
-        h_seq = i 28;
-        h_count = i 36;
-      }
+    let h_count = i 36 in
+    if h_count < 0 || h_count > max_count then None
+    else
+      Some
+        { h_epoch = i 4; h_gen = i 12; h_slot = i 20; h_seq = i 28; h_count }

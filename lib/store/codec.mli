@@ -47,13 +47,18 @@ val encode_entry : ?corrupt:bool -> entry -> Bytes.t
 (** Fresh-buffer convenience over {!encode_entry_into}. *)
 
 val decode_entry : Bytes.t -> pos:int -> entry option
-(** [None] when the checksum fails or the tag is unknown; raises
-    [Invalid_argument] if fewer than {!entry_bytes} bytes remain. *)
+(** [None] when the checksum fails, the tag is unknown, or a field lies
+    outside what {!encode_entry_into} writes (a negative id or
+    timestamp, a negative data version, a record size below 1).
+    Raises [Invalid_argument] only if fewer than {!entry_bytes} bytes
+    remain. *)
 
 val encode_header_into : Bytes.t -> pos:int -> header -> unit
 
 val encode_header : header -> Bytes.t
 
 val decode_header : Bytes.t -> pos:int -> header option
-(** [None] on a bad magic or checksum; raises [Invalid_argument] if
-    fewer than {!header_bytes} bytes remain. *)
+(** [None] on a bad magic or checksum, or on a [count] that is negative
+    or whose segment byte length would overflow an [int] — a scan
+    treats all of these as the torn tail.  Raises [Invalid_argument]
+    only if fewer than {!header_bytes} bytes remain. *)

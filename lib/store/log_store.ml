@@ -112,26 +112,66 @@ type scan = {
   s_max_seq : int;
 }
 
-let scan ?upto backend =
-  let len = Backend.size backend in
-  let img = Backend.pread backend ~off:0 ~len in
-  let len = Bytes.length img in
-  let included h = match upto with None -> true | Some n -> h.Codec.h_seq < n in
-  (* Decode up to [avail] entries, cutting at the first bad checksum —
-     the valid-prefix rule of the torn-write model. *)
-  let decode_entries pos avail =
-    let rec go i acc =
-      if i >= avail then (List.rev acc, avail - i)
-      else
-        match Codec.decode_entry img ~pos:(pos + (i * Codec.entry_bytes)) with
-        | None -> (List.rev acc, avail - i)
-        | Some e -> go (i + 1) (e :: acc)
-    in
-    go 0 []
+(* Slot identity for dedup: [(epoch, gen, slot)], hashed without the
+   polymorphic hash. *)
+module Key = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((e1, g1, s1) : t) (e2, g2, s2) = e1 = e2 && g1 = g2 && s1 = s2
+  let hash (e, g, s) = (((e * 65599) + g) * 65599) + s
+end)
+
+(* Decodes up to [avail] entries at [pos], cutting at the first bad
+   checksum — the valid-prefix rule of the torn-write model.  Returns
+   the valid entries in order and how many of the [avail] were cut. *)
+let decode_entries img pos avail =
+  let rec go i acc =
+    if i >= avail then (List.rev acc, 0)
+    else
+      match Codec.decode_entry img ~pos:(pos + (i * Codec.entry_bytes)) with
+      | None -> (List.rev acc, avail - i)
+      | Some e -> go (i + 1) (e :: acc)
   in
+  go 0 []
+
+(* Scans the first [len] bytes of [img] in two steps.  The header walk
+   verifies every header, folds stable segments' facts as it meets
+   them, and keeps only the newest log segment per key; then only
+   those survivors' entries are decoded.  A superseded segment adds
+   nothing to the result beyond its count, so its entries are never
+   read. *)
+let scan_bytes ?upto img ~len =
+  let included (h : Codec.header) =
+    match upto with None -> true | Some n -> h.h_seq < n
+  in
+  (* sized for the most stable facts [len] bytes can hold, so the fold
+     never rehashes *)
+  let stable =
+    Ids.Oid.Table.create
+      (max 16 (len / (Codec.header_bytes + Codec.entry_bytes)))
+  in
+  (* folds a stable segment's valid entry prefix, max version per oid *)
+  let rec fold_stable pos avail =
+    if avail > 0 then
+      match Codec.decode_entry img ~pos with
+      | None -> ()
+      | Some e ->
+        (match e with
+        | Codec.Stable { oid; version } ->
+          let prev =
+            match Ids.Oid.Table.find_opt stable oid with
+            | Some v -> v
+            | None -> -1
+          in
+          if version > prev then Ids.Oid.Table.replace stable oid version
+        | Codec.Record _ -> ());
+        fold_stable (pos + Codec.entry_bytes) (avail - 1)
+  in
+  (* newest log segment per key: its header, entry offset and how many
+     of its entries the image holds *)
+  let newest = Key.create 1024 in
+  let log_segments = ref 0 in
   let segments = ref 0 in
-  let log_segments = ref [] in
-  let stable = Hashtbl.create 64 in
   let torn_tail = ref false in
   let s_end = ref 0 in
   let max_epoch = ref (-1) in
@@ -150,81 +190,71 @@ let scan ?upto backend =
         stop := true
       | Some h ->
         let body = !off + Codec.header_bytes in
-        let full = len - body >= h.Codec.h_count * Codec.entry_bytes in
+        let full = len - body >= h.h_count * Codec.entry_bytes in
         let avail =
-          if full then h.Codec.h_count else (len - body) / Codec.entry_bytes
+          if full then h.h_count else (len - body) / Codec.entry_bytes
         in
         if not full then torn_tail := true;
         if included h then begin
           incr segments;
-          if h.Codec.h_epoch > !max_epoch then max_epoch := h.Codec.h_epoch;
-          if h.Codec.h_seq > !max_seq then max_seq := h.Codec.h_seq;
-          let entries, discarded = decode_entries body avail in
-          let discarded = discarded + (h.Codec.h_count - avail) in
-          if h.Codec.h_gen < 0 then
-            List.iter
-              (function
-                | Codec.Stable { oid; version } ->
-                  let prev =
-                    match Hashtbl.find_opt stable oid with
-                    | Some v -> v
-                    | None -> -1
-                  in
-                  if version > prev then Hashtbl.replace stable oid version
-                | Codec.Record _ -> ())
-              entries
+          if h.h_epoch > !max_epoch then max_epoch := h.h_epoch;
+          if h.h_seq > !max_seq then max_seq := h.h_seq;
+          if h.h_gen < 0 then fold_stable body avail
           else begin
-            let records =
-              List.filter_map
-                (function Codec.Record r -> Some r | Codec.Stable _ -> None)
-                entries
-            in
-            log_segments :=
-              {
-                sb_epoch = h.Codec.h_epoch;
-                sb_gen = h.Codec.h_gen;
-                sb_slot = h.Codec.h_slot;
-                sb_seq = h.Codec.h_seq;
-                sb_records = records;
-                sb_discarded = discarded;
-              }
-              :: !log_segments
+            incr log_segments;
+            let key = (h.h_epoch, h.h_gen, h.h_slot) in
+            match Key.find_opt newest key with
+            | Some (prev, _, _) when prev.Codec.h_seq > h.h_seq -> ()
+            | Some _ | None -> Key.replace newest key (h, body, avail)
           end
         end;
         if full then begin
-          off := body + (h.Codec.h_count * Codec.entry_bytes);
+          off := body + (h.h_count * Codec.entry_bytes);
           s_end := !off
         end
         else stop := true
   done;
-  (* In-place slot semantics: only the newest segment per
-     (epoch, gen, slot) survives; everything older is stale garbage. *)
-  let newest = Hashtbl.create 64 in
-  List.iter
-    (fun b ->
-      let key = (b.sb_epoch, b.sb_gen, b.sb_slot) in
-      match Hashtbl.find_opt newest key with
-      | Some prev when prev.sb_seq >= b.sb_seq -> ()
-      | _ -> Hashtbl.replace newest key b)
-    !log_segments;
+  (* In-place slot semantics: only the newest segment per key
+     survives, so only its entries are worth decoding. *)
   let blocks =
-    Hashtbl.fold (fun _ b acc -> b :: acc) newest []
-    |> List.sort (fun a b -> compare a.sb_seq b.sb_seq)
+    Key.fold
+      (fun _ ((h : Codec.header), body, avail) acc ->
+        let entries, cut = decode_entries img body avail in
+        {
+          sb_epoch = h.h_epoch;
+          sb_gen = h.h_gen;
+          sb_slot = h.h_slot;
+          sb_seq = h.h_seq;
+          sb_records =
+            List.filter_map
+              (function Codec.Record r -> Some r | Codec.Stable _ -> None)
+              entries;
+          sb_discarded = cut + (h.h_count - avail);
+        }
+        :: acc)
+      newest []
+    |> List.sort (fun a b -> Int.compare a.sb_seq b.sb_seq)
   in
   let stable_pairs =
-    Hashtbl.fold (fun oid v acc -> (oid, v) :: acc) stable []
+    Ids.Oid.Table.fold (fun oid v acc -> (oid, v) :: acc) stable []
     |> List.sort (fun (a, _) (b, _) -> Ids.Oid.compare a b)
   in
   {
     s_blocks = blocks;
     s_stable = stable_pairs;
     s_segments = !segments;
-    s_stale_blocks = List.length !log_segments - List.length blocks;
+    s_stale_blocks = !log_segments - Key.length newest;
     s_torn_tail = !torn_tail;
     s_end = !s_end;
     s_max_epoch = !max_epoch;
     s_max_seq = !max_seq;
   }
+
+let read_image backend = Backend.pread backend ~off:0 ~len:(Backend.size backend)
+
+let scan ?upto backend =
+  let img = read_image backend in
+  scan_bytes ?upto img ~len:(Bytes.length img)
 
 let make backend ~epoch ~seq ~write_off ~sync_mode =
   {
@@ -243,8 +273,19 @@ let create ?(sync_mode = Immediate) backend =
   Backend.truncate backend ~len:0;
   make backend ~epoch:0 ~seq:0 ~write_off:0 ~sync_mode
 
-let attach ?(sync_mode = Immediate) backend =
-  let s = scan backend in
-  if s.s_torn_tail then Backend.truncate backend ~len:s.s_end;
-  make backend ~epoch:(s.s_max_epoch + 1) ~seq:(s.s_max_seq + 1)
-    ~write_off:s.s_end ~sync_mode
+let attach_with_scan ?(sync_mode = Immediate) backend =
+  let img = read_image backend in
+  let s = scan_bytes img ~len:(Bytes.length img) in
+  let t =
+    make backend ~epoch:(s.s_max_epoch + 1) ~seq:(s.s_max_seq + 1)
+      ~write_off:s.s_end ~sync_mode
+  in
+  if not s.s_torn_tail then (t, s)
+  else begin
+    (* Cut the torn tail away; the bytes before the cut are already in
+       memory, so the post-truncate view needs no second read. *)
+    Backend.truncate backend ~len:s.s_end;
+    (t, scan_bytes img ~len:s.s_end)
+  end
+
+let attach ?sync_mode backend = fst (attach_with_scan ?sync_mode backend)

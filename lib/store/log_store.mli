@@ -65,7 +65,8 @@ val create : ?sync_mode:sync_mode -> Backend.t -> t
 
 val attach : ?sync_mode:sync_mode -> Backend.t -> t
 (** Adopts an existing image: scans it, truncates any torn tail, and
-    resumes appending at the next epoch and sequence number. *)
+    resumes appending at the next epoch and sequence number.  The
+    first component of {!attach_with_scan}. *)
 
 val backend : t -> Backend.t
 val epoch : t -> int
@@ -136,6 +137,24 @@ type scan = {
 }
 
 val scan : ?upto:int -> Backend.t -> scan
-(** Reads the whole image.  With [~upto:n], segments with [seq >= n]
-    are parsed past but excluded — replaying the image as it stood at
-    {!position} [= n]. *)
+(** Reads the whole image with one {!Backend.pread} and walks its
+    segment headers, verifying every header checksum.  Entries are
+    decoded (and their checksums verified) only where they can reach
+    the result: every stable segment, and the newest segment per
+    [(epoch, gen, slot)].  A superseded segment counts in [s_segments]
+    and [s_stale_blocks] but its entries are never read — they could
+    not change any field.  Work is one visit per header plus one
+    decode per entry of a stable or surviving segment.
+
+    With [~upto:n], segments with [seq >= n] are parsed past but
+    excluded — replaying the image as it stood at {!position} [= n]. *)
+
+val attach_with_scan : ?sync_mode:sync_mode -> Backend.t -> t * scan
+(** {!attach} together with the {!scan} of the image it adopted, from
+    a single read: a restart hands the scan to recovery instead of
+    reading the image again.  The scan is the view {e after} the
+    torn-tail truncate — a partially written last segment is gone
+    from it, valid entry prefix and all, exactly as a fresh {!scan}
+    of the truncated backend would report (so [s_torn_tail] is
+    [false]).  The new epoch and sequence number still start above
+    every header the image held before the cut. *)

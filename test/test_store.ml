@@ -653,6 +653,451 @@ let test_write_fault_torn_prefix () =
       Experiment.dispose live)
     [ 1; 2; 3 ]
 
+(* ---- hostile headers ---- *)
+
+(* A checksum-valid header with a negative count would step the walk
+   backwards into its own header: recovery would raise on a -1 discard
+   count and attach would truncate mid-header.  Decode rejects it (and
+   any count whose byte length overflows), so it is a torn tail. *)
+let test_negative_count_header () =
+  let header count =
+    Codec.encode_header
+      { Codec.h_epoch = 0; h_gen = 0; h_slot = 0; h_seq = 0; h_count = count }
+  in
+  List.iter
+    (fun count ->
+      Alcotest.(check bool)
+        (Printf.sprintf "count %d rejected" count)
+        true
+        (Codec.decode_header (header count) ~pos:0 = None))
+    [ -1; min_int; max_int; (max_int / Codec.entry_bytes) + 1 ];
+  let b = Backend.mem () in
+  Backend.pwrite b ~off:0 (header (-1));
+  Alcotest.(check int) "one 52-byte header" 52 (Backend.size b);
+  let s = Log_store.scan b in
+  Alcotest.(check bool) "torn tail" true s.Log_store.s_torn_tail;
+  Alcotest.(check int) "nothing before it" 0 s.Log_store.s_end;
+  Alcotest.(check int) "no segment" 0 s.Log_store.s_segments;
+  let r = Recovery.recover_store ~num_objects:100 b in
+  Alcotest.(check int) "nothing recovered" 0 r.Recovery.records_scanned;
+  ignore (Log_store.attach b);
+  Alcotest.(check int) "attach cuts at the header, not inside it" 0
+    (Backend.size b)
+
+(* A checksum-valid entry holding a field no encoder writes decodes to
+   nothing instead of raising out of a constructor. *)
+let test_hostile_entry_fields () =
+  let forge ~field value =
+    let b = Codec.encode_entry (Codec.Record (List.nth sample_records 1)) in
+    Bytes.set_int64_le b field (Int64.of_int value);
+    Bytes.set_int64_le b 41 (Codec.fnv1a_64 b ~pos:0 ~len:41);
+    b
+  in
+  List.iter
+    (fun (name, field, value) ->
+      Alcotest.(check bool) name true
+        (Codec.decode_entry (forge ~field value) ~pos:0 = None))
+    [
+      ("negative tid", 1, -1);
+      ("negative oid", 9, -7);
+      ("negative version", 17, -2);
+      ("zero size", 25, 0);
+      ("negative timestamp", 33, min_int);
+    ]
+
+(* ---- the single-pass restart ---- *)
+
+let backend_of_string img =
+  let b = Backend.mem () in
+  if img <> "" then Backend.pwrite b ~off:0 (Bytes.of_string img);
+  b
+
+let image_string b =
+  Bytes.to_string (Backend.pread b ~off:0 ~len:(Backend.size b))
+
+(* A segment torn mid-write: a valid header promising two entries,
+   then half of the first. *)
+let partial_segment ~seq =
+  let h =
+    Codec.encode_header
+      { Codec.h_epoch = 9; h_gen = 0; h_slot = 0; h_seq = seq; h_count = 2 }
+  in
+  let e = Codec.encode_entry (Codec.Record (List.hd sample_records)) in
+  Bytes.cat h (Bytes.sub e 0 (Codec.entry_bytes / 2))
+
+(* Restart reads the image once: on a file backend the attach and the
+   recovery of its scan issue one pread between them, where attach
+   followed by recover_store issued two — and both recover the same
+   state.  A torn tail still costs no second read. *)
+let test_single_read_restart () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "disk.img" in
+      let b = Backend.file ~path in
+      let t = Log_store.create b in
+      Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 0);
+      Log_store.append_block t ~gen:0 ~slot:1 sample_records;
+      Log_store.append_block t ~gen:0 ~slot:0 (records_of 2 50);
+      Log_store.append_stable t ~oid:(Ids.Oid.of_int 5) ~version:4;
+      Backend.close b;
+      let restart ~torn =
+        let b = Backend.file ~path in
+        if torn then Backend.pwrite b ~off:(Backend.size b) (partial_segment ~seq:9);
+        let _, s = Log_store.attach_with_scan b in
+        let r = Recovery.recover_scan ~num_objects:100 s in
+        let preads = (Backend.counters b).Backend.preads in
+        Backend.close b;
+        (r, preads)
+      in
+      let r1, preads1 = restart ~torn:false in
+      Alcotest.(check int) "one pread for attach + recovery" 1 preads1;
+      let b2 = Backend.file ~path in
+      ignore (Log_store.attach b2);
+      let r2 = Recovery.recover_store ~num_objects:100 b2 in
+      Alcotest.(check int) "attach; recover_store reads twice" 2
+        (Backend.counters b2).Backend.preads;
+      Backend.close b2;
+      Alcotest.(check bool) "same recovered state" true
+        (recovery_view r1 = recovery_view r2);
+      let r3, preads3 = restart ~torn:true in
+      Alcotest.(check int) "torn tail: still one pread" 1 preads3;
+      Alcotest.(check bool) "the torn segment adds nothing" true
+        (recovery_view r3 = recovery_view r1))
+
+(* The scan attach hands over is the view after its truncate: the
+   valid prefix of a partially written last segment goes with the cut,
+   exactly as when a rescan followed the attach. *)
+let test_attach_scan_after_truncate () =
+  let b = Backend.mem () in
+  let t = Log_store.create b in
+  Log_store.append_block t ~gen:0 ~slot:0 (records_of 2 0);
+  Log_store.append_block t ~gen:0 ~slot:1 (records_of 5 10);
+  let keep =
+    Backend.size b - (2 * Codec.entry_bytes) - (Codec.entry_bytes / 2)
+  in
+  Backend.truncate b ~len:keep;
+  let before = Log_store.scan b in
+  Alcotest.(check bool) "torn before attach" true before.Log_store.s_torn_tail;
+  let t2, s = Log_store.attach_with_scan b in
+  Alcotest.(check bool) "handed-over scan is clean" false s.Log_store.s_torn_tail;
+  Alcotest.(check int) "only the complete segment survives" 1
+    (List.length s.Log_store.s_blocks);
+  Alcotest.(check bool) "equals a rescan of the cut image" true
+    (s = Log_store.scan b);
+  Alcotest.(check int) "new epoch above the torn header" 1 (Log_store.epoch t2);
+  Alcotest.(check int) "sequence resumes above the torn header" 2
+    (Log_store.position t2);
+  let r = Recovery.recover_scan ~num_objects:100 s in
+  Alcotest.(check int) "no torn records: the tail is gone" 0
+    r.Recovery.torn_records;
+  Alcotest.(check int) "the complete segment is replayed" 2
+    r.Recovery.records_scanned
+
+(* The reference scan: decode every entry of every segment, then dedup
+   by key — the plain form of what [scan] computes while skipping the
+   entries of superseded segments. *)
+let oracle_scan ?upto backend =
+  let img = Backend.pread backend ~off:0 ~len:(Backend.size backend) in
+  let len = Bytes.length img in
+  let rec decode pos i avail acc =
+    if i >= avail then (List.rev acc, 0)
+    else
+      match Codec.decode_entry img ~pos:(pos + (i * Codec.entry_bytes)) with
+      | None -> (List.rev acc, avail - i)
+      | Some e -> decode pos (i + 1) avail (e :: acc)
+  in
+  let stable = Hashtbl.create 16 and logs = ref [] and segs = ref 0 in
+  let torn = ref false and s_end = ref 0 in
+  let max_ep = ref (-1) and max_seq = ref (-1) in
+  let rec walk off =
+    let header =
+      if len - off < Codec.header_bytes then None
+      else Codec.decode_header img ~pos:off
+    in
+    match header with
+    | None -> torn := len > off
+    | Some h ->
+      let body = off + Codec.header_bytes in
+      let full = len - body >= h.h_count * Codec.entry_bytes in
+      let avail =
+        if full then h.h_count else (len - body) / Codec.entry_bytes
+      in
+      if Option.fold ~none:true ~some:(fun n -> h.h_seq < n) upto then begin
+        incr segs;
+        max_ep := max !max_ep h.h_epoch;
+        max_seq := max !max_seq h.h_seq;
+        let entries, cut = decode body 0 avail [] in
+        if h.h_gen >= 0 then
+          logs :=
+            { Log_store.sb_epoch = h.h_epoch; sb_gen = h.h_gen;
+              sb_slot = h.h_slot; sb_seq = h.h_seq;
+              sb_records =
+                List.filter_map
+                  (function Codec.Record r -> Some r | _ -> None)
+                  entries;
+              sb_discarded = cut + h.h_count - avail }
+            :: !logs
+        else
+          List.iter
+            (function
+              | Codec.Stable { oid; version } ->
+                let prev = Option.value ~default:(-1) (Hashtbl.find_opt stable oid) in
+                if version > prev then Hashtbl.replace stable oid version
+              | Codec.Record _ -> ())
+            entries
+      end;
+      if full then begin
+        s_end := body + (h.h_count * Codec.entry_bytes);
+        walk !s_end
+      end
+      else torn := true
+  in
+  walk 0;
+  let newest = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Log_store.block) ->
+      let key = (b.sb_epoch, b.sb_gen, b.sb_slot) in
+      match Hashtbl.find_opt newest key with
+      | Some (p : Log_store.block) when p.sb_seq >= b.sb_seq -> ()
+      | _ -> Hashtbl.replace newest key b)
+    !logs;
+  let blocks = Hashtbl.fold (fun _ b acc -> b :: acc) newest [] in
+  let by_seq (a : Log_store.block) (b : Log_store.block) =
+    compare a.sb_seq b.sb_seq
+  in
+  { Log_store.s_blocks = List.sort by_seq blocks;
+    s_stable =
+      List.sort compare (Hashtbl.fold (fun o v acc -> (o, v) :: acc) stable []);
+    s_segments = !segs;
+    s_stale_blocks = List.length !logs - List.length blocks;
+    s_torn_tail = !torn;
+    s_end = !s_end;
+    s_max_epoch = !max_ep;
+    s_max_seq = !max_seq }
+
+(* Random images as the store writes them: reused slots, stable facts,
+   torn suffixes and re-attaches (new epochs). *)
+type op =
+  | Block of {
+      gen : int;
+      slot : int;
+      records : Log_record.t list;
+      torn : int option;
+    }
+  | Fact of int * int
+  | Reattach
+
+let op_gen =
+  let open QCheck.Gen in
+  let record =
+    map
+      (fun (k, tid, oid, version, size) ->
+        let tid = Ids.Tid.of_int tid and timestamp = Time.of_us (tid * 10) in
+        match k with
+        | 0 -> Log_record.begin_ ~tid ~size ~timestamp
+        | 1 | 2 -> Log_record.commit ~tid ~size ~timestamp
+        | 3 -> Log_record.abort ~tid ~size ~timestamp
+        | _ ->
+          Log_record.data ~tid ~oid:(Ids.Oid.of_int oid) ~version ~size
+            ~timestamp)
+      (tup5 (int_bound 7) (int_bound 12) (int_bound 20) (int_bound 30)
+         (int_range 1 64))
+  in
+  frequency
+    [
+      ( 6,
+        map
+          (fun (gen, slot, records, torn) ->
+            let torn = Option.map (fun k -> k mod (List.length records + 1)) torn in
+            Block { gen; slot; records; torn })
+          (tup4 (int_bound 2) (int_bound 3) (list_size (int_range 1 6) record)
+             (opt ~ratio:0.2 (int_bound 6))) );
+      (3, map2 (fun o v -> Fact (o, v)) (int_bound 20) (int_bound 30));
+      (1, return Reattach);
+    ]
+
+let build_image ops =
+  let b = Backend.mem () in
+  let t = ref (Log_store.create b) in
+  List.iter
+    (function
+      | Block { gen; slot; records; torn } ->
+        Log_store.append_block !t ~gen ~slot ?torn_suffix:torn records
+      | Fact (oid, version) ->
+        Log_store.append_stable !t ~oid:(Ids.Oid.of_int oid) ~version
+      | Reattach -> t := Log_store.attach b)
+    ops;
+  image_string b
+
+(* An image cut at a random byte, and a random crash mark. *)
+let cut_image_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      map
+        (fun (ops, cut, upto) ->
+          let img = build_image ops in
+          let img =
+            match cut with
+            | None -> img
+            | Some c -> String.sub img 0 (c mod (String.length img + 1))
+          in
+          (img, upto))
+        (triple (list_size (int_bound 25) op_gen) (opt (int_bound 100_000))
+           (opt (int_bound 30))))
+  in
+  make ~print:(fun (img, upto) ->
+      Printf.sprintf "%d bytes, upto %s" (String.length img)
+        (match upto with None -> "-" | Some n -> string_of_int n))
+    gen
+
+let prop_scan_matches_oracle =
+  QCheck.Test.make ~name:"scan == decode-everything oracle, field for field"
+    ~count:400 cut_image_arb (fun (img, upto) ->
+      Log_store.scan ?upto (backend_of_string img)
+      = oracle_scan ?upto (backend_of_string img))
+
+(* The two-pass restart — truncate the torn tail, scan the backend
+   again, lift and recover — against the single pass. *)
+let prop_single_pass_restart =
+  QCheck.Test.make ~name:"attach_with_scan + recover_scan == attach; rescan"
+    ~count:400 cut_image_arb (fun (img, _) ->
+      let old_b = backend_of_string img in
+      let pre = oracle_scan old_b in
+      if pre.Log_store.s_torn_tail then Backend.truncate old_b ~len:pre.s_end;
+      let old_scan = oracle_scan old_b in
+      let old_r =
+        Recovery.recover (Recovery.image_of_scan ~num_objects:100 old_scan)
+      in
+      let b = backend_of_string img in
+      let t, s = Log_store.attach_with_scan b in
+      let r = Recovery.recover_scan ~num_objects:100 s in
+      s = old_scan
+      && image_string b = image_string old_b
+      && Log_store.epoch t = pre.s_max_epoch + 1
+      && Log_store.position t = pre.s_max_seq + 1
+      && El_disk.Stable_db.equal r.Recovery.recovered old_r.Recovery.recovered
+      && List.sort compare r.committed_tids = List.sort compare old_r.committed_tids
+      && r.records_scanned = old_r.records_scanned
+      && r.redo_applied = old_r.redo_applied
+      && r.torn_blocks = old_r.torn_blocks
+      && r.torn_records = old_r.torn_records)
+
+(* ---- mutation fuzz ---- *)
+
+let flip_bits img flips =
+  let b = Bytes.of_string img in
+  if Bytes.length b > 0 then
+    List.iter
+      (fun (pos, bit) ->
+        let pos = pos mod Bytes.length b in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit))))
+      flips;
+  Bytes.to_string b
+
+(* Offsets where the walk of [img] meets a header: 0 and the end of
+   every complete segment. *)
+let segment_starts img =
+  let b = Bytes.of_string img and len = String.length img in
+  let rec go off acc =
+    if len - off < Codec.header_bytes then off :: acc
+    else
+      match Codec.decode_header b ~pos:off with
+      | Some h
+        when len - off - Codec.header_bytes >= h.h_count * Codec.entry_bytes ->
+        go
+          (off + Codec.header_bytes + (h.h_count * Codec.entry_bytes))
+          (off :: acc)
+      | Some _ | None -> off :: acc
+  in
+  Array.of_list (go 0 [])
+
+(* Splices checksum-valid headers with hostile fields into an image,
+   overwriting or inserting at offsets the walk reaches (even [pos]) or
+   at arbitrary ones (odd [pos]). *)
+let splice_headers img splices =
+  List.fold_left
+    (fun img (pos, insert, (epoch, gen, seq, count)) ->
+      let h =
+        Bytes.to_string
+          (Codec.encode_header
+             { Codec.h_epoch = epoch; h_gen = gen; h_slot = 0; h_seq = seq;
+               h_count = count })
+      in
+      let pos =
+        if pos mod 2 = 0 then
+          let starts = segment_starts img in
+          starts.(pos / 2 mod Array.length starts)
+        else pos mod (String.length img + 1)
+      in
+      let tail =
+        if insert then String.sub img pos (String.length img - pos)
+        else
+          let rest = pos + Codec.header_bytes in
+          if rest >= String.length img then ""
+          else String.sub img rest (String.length img - rest)
+      in
+      String.sub img 0 pos ^ h ^ tail)
+    img splices
+
+let mutated_image_arb =
+  let open QCheck in
+  let real = Gen.(map build_image (list_size (int_bound 12) op_gen)) in
+  let count =
+    Gen.oneof
+      [
+        Gen.int_range (-2) 8;
+        Gen.oneofl [ min_int; max_int; max_int / Codec.entry_bytes; 1 lsl 40 ];
+      ]
+  in
+  let header =
+    Gen.(quad (int_range (-2) 4) (int_range (-3) 3) (int_range (-2) 40) count)
+  in
+  let gen =
+    Gen.(
+      pair
+        (frequency
+           [
+             (1, string_size ~gen:char (int_bound 400));
+             ( 2,
+               map2 flip_bits real
+                 (list_size (int_range 1 8)
+                    (pair (int_bound 100_000) (int_bound 7))) );
+             ( 2,
+               map2 splice_headers real
+                 (list_size (int_range 1 4)
+                    (triple (int_bound 100_000) bool header)) );
+           ])
+        (opt (int_bound 30)))
+  in
+  make ~print:(fun (img, _) -> String.escaped img) gen
+
+(* On any bytes: no raise, one read per scan, a cut inside the image,
+   and bounded work — the walk only moves forward, so it visits each
+   header at most once and counts at most size / header_bytes of them.
+   The attach truncates to exactly the scan's end and hands over the
+   rescan of what is left. *)
+let prop_fuzz_total =
+  QCheck.Test.make ~name:"scan/attach/recover_store total on mutated bytes"
+    ~count:600 mutated_image_arb (fun (img, upto) ->
+      let size = String.length img in
+      let b = backend_of_string img in
+      let s = Log_store.scan ?upto b in
+      let one_read = (Backend.counters b).Backend.preads = 1 in
+      let all = Log_store.scan b in
+      ignore (Recovery.recover_store ?upto ~num_objects:100 b);
+      let ab = backend_of_string img in
+      let t, handed = Log_store.attach_with_scan ab in
+      ignore (Recovery.recover_scan ~num_objects:100 handed);
+      ignore (Log_store.attach (backend_of_string img));
+      one_read
+      && s.Log_store.s_end <= size
+      && all.s_segments <= size / Codec.header_bytes
+      && s.s_segments <= all.s_segments
+      && Backend.size ab = all.s_end
+      && (not handed.s_torn_tail)
+      && handed = Log_store.scan ab
+      && Log_store.epoch t = all.s_max_epoch + 1)
+
 let suite =
   [
     Alcotest.test_case "mem backend roundtrip" `Quick test_mem_roundtrip;
@@ -685,4 +1130,15 @@ let suite =
       `Quick test_write_fault_replay_agrees;
     Alcotest.test_case "mid-run torn death: store is a strict prefix" `Quick
       test_write_fault_torn_prefix;
+    Alcotest.test_case "negative-count header is a torn tail" `Quick
+      test_negative_count_header;
+    Alcotest.test_case "hostile entry fields decode to nothing" `Quick
+      test_hostile_entry_fields;
+    Alcotest.test_case "restart reads the image once" `Quick
+      test_single_read_restart;
+    Alcotest.test_case "attach hands over the post-truncate scan" `Quick
+      test_attach_scan_after_truncate;
+    QCheck_alcotest.to_alcotest prop_scan_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_single_pass_restart;
+    QCheck_alcotest.to_alcotest prop_fuzz_total;
   ]
