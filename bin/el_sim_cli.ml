@@ -634,27 +634,72 @@ let trace_cmd =
     Term.(
       const action $ config_term $ scenario $ out $ ring_capacity $ sample_ms)
 
+(* Events between sweep pauses, shared by [check] and [fault]. *)
+let stride_term doc =
+  let parse = function
+    | "small" -> Ok 50
+    | "medium" -> Ok 200
+    | "large" -> Ok 1000
+    | s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | _ -> Error (`Msg ("bad stride: " ^ s)))
+  in
+  let stride_conv = Arg.conv (parse, Format.pp_print_int) in
+  Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
+
+(* Sweep every standard manager kind over seeds 1..[seeds], one table
+   row per outcome ([columns] and [row] after the manager and seed
+   cells), then print [clean] — or, on any failure, list them all on
+   stderr under "N [failed]:" and exit 1.  [quick] requires 50 pauses
+   per sweep, named [points] in the complaint. *)
+let sweep_report ~pool ~stride ~spec ~seeds ~quick ~points ~config ~columns
+    ~row ~clean ~failed =
+  let module Sweep = El_check.Sweep in
+  let t =
+    El_metrics.Table.create
+      ~columns:
+        (("manager", El_metrics.Table.Left)
+        :: ("seed", El_metrics.Table.Right)
+        :: columns)
+  in
+  let failures = ref [] in
+  List.iter
+    (fun (name, kind) ->
+      for seed = 1 to seeds do
+        let o = Sweep.run ~pool ~stride ~spec (config ~kind ~seed) in
+        El_metrics.Table.add_row t (name :: string_of_int seed :: row o);
+        if quick && o.Sweep.points < 50 then
+          failures :=
+            Printf.sprintf
+              "%s seed %d: only %d %s points (quick mode requires 50)" name
+              seed o.Sweep.points points
+            :: !failures;
+        List.iter
+          (fun (at, msg) ->
+            failures :=
+              Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
+              :: !failures)
+          o.Sweep.failures
+      done)
+    (Sweep.standard_kinds ());
+  El_metrics.Table.print t;
+  match List.rev !failures with
+  | [] -> print_endline clean
+  | fs ->
+    Printf.eprintf "%d %s:\n" (List.length fs) failed;
+    List.iter prerr_endline fs;
+    exit 1
+
 let check_cmd =
   let seeds =
     let doc = "Number of seeds to sweep per manager kind." in
     Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
   in
   let stride =
-    let doc =
+    stride_term
       "Events between audit pauses: an integer, or small|medium|large \
        (50/200/1000).  Smaller strides crash more often and run longer."
-    in
-    let parse = function
-      | "small" -> Ok 50
-      | "medium" -> Ok 200
-      | "large" -> Ok 1000
-      | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ -> Error (`Msg ("bad stride: " ^ s)))
-    in
-    let stride_conv = Arg.conv (parse, Format.pp_print_int) in
-    Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
   in
   let check_runtime =
     let doc = "Simulated runtime of each swept run, in seconds." in
@@ -688,74 +733,41 @@ let check_cmd =
     in
     let runtime = Time.of_sec_f runtime in
     let backend = resolve_backend backend in
-    if shards > 1 && backend <> Experiment.Sim then begin
-      prerr_endline "el-sim check: --shards needs --backend sim";
-      exit 2
-    end;
     let module Sweep = El_check.Sweep in
-    let t =
-      El_metrics.Table.create
-        ~columns:
-          ([
-             ("manager", El_metrics.Table.Left);
-             ("seed", El_metrics.Table.Right);
-             ("events", El_metrics.Table.Right);
-             ("pauses", El_metrics.Table.Right);
-             ("recoveries", El_metrics.Table.Right);
-             ("committed", El_metrics.Table.Right);
-             ("killed", El_metrics.Table.Right);
-             ("max scan", El_metrics.Table.Right);
-           ]
-          @ (if spec then [ ("spec checks", El_metrics.Table.Right) ] else [])
-          @ [ ("failures", El_metrics.Table.Right) ])
-    in
-    let failures = ref [] in
-    List.iter
-      (fun (name, kind) ->
-        for seed = 1 to seeds do
-          let cfg =
-            Sweep.standard_config ~kind ~runtime ~rate ~seed ~backend
-              ?preset:scenario ()
-          in
-          let cfg = { cfg with Experiment.shards } in
-          let o = Sweep.run ~pool ~stride ~spec cfg in
-          El_metrics.Table.add_row t
-            ([
-               name;
-               string_of_int seed;
-               string_of_int o.Sweep.events;
-               string_of_int o.Sweep.points;
-               string_of_int o.Sweep.recoveries;
-               string_of_int o.Sweep.committed;
-               string_of_int o.Sweep.killed;
-               string_of_int o.Sweep.max_records_scanned;
-             ]
-            @ (if spec then [ string_of_int o.Sweep.spec_checks ] else [])
-            @ [
-                (if o.Sweep.overloaded then "overloaded"
-                 else string_of_int (List.length o.Sweep.failures));
-              ]);
-          if quick && o.Sweep.points < 50 then
-            failures :=
-              Printf.sprintf
-                "%s seed %d: only %d crash points (quick mode requires 50)"
-                name seed o.Sweep.points
-              :: !failures;
-          List.iter
-            (fun (at, msg) ->
-              failures :=
-                Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
-                :: !failures)
-            o.Sweep.failures
-        done)
-      (Sweep.standard_kinds ());
-    El_metrics.Table.print t;
-    match List.rev !failures with
-    | [] -> print_endline "all sweeps clean"
-    | fs ->
-      Printf.eprintf "%d audit failure(s):\n" (List.length fs);
-      List.iter prerr_endline fs;
-      exit 1
+    sweep_report ~pool ~stride ~spec ~seeds ~quick ~points:"crash"
+      ~config:(fun ~kind ~seed ->
+        {
+          (Sweep.standard_config ~kind ~runtime ~rate ~seed ~backend
+             ?preset:scenario ())
+          with
+          Experiment.shards;
+        })
+      ~columns:
+        ([
+           ("events", El_metrics.Table.Right);
+           ("pauses", El_metrics.Table.Right);
+           ("recoveries", El_metrics.Table.Right);
+           ("committed", El_metrics.Table.Right);
+           ("killed", El_metrics.Table.Right);
+           ("max scan", El_metrics.Table.Right);
+         ]
+        @ (if spec then [ ("spec checks", El_metrics.Table.Right) ] else [])
+        @ [ ("failures", El_metrics.Table.Right) ])
+      ~row:(fun o ->
+        [
+          string_of_int o.Sweep.events;
+          string_of_int o.Sweep.points;
+          string_of_int o.Sweep.recoveries;
+          string_of_int o.Sweep.committed;
+          string_of_int o.Sweep.killed;
+          string_of_int o.Sweep.max_records_scanned;
+        ]
+        @ (if spec then [ string_of_int o.Sweep.spec_checks ] else [])
+        @ [
+            (if o.Sweep.overloaded then "overloaded"
+             else string_of_int (List.length o.Sweep.failures));
+          ])
+      ~clean:"all sweeps clean" ~failed:"audit failure(s)"
   in
   Cmd.v
     (Cmd.info "check"
@@ -783,21 +795,9 @@ let fault_cmd =
     Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
   in
   let stride =
-    let doc =
+    stride_term
       "Events between fault points: an integer, or small|medium|large \
        (50/200/1000)."
-    in
-    let parse = function
-      | "small" -> Ok 50
-      | "medium" -> Ok 200
-      | "large" -> Ok 1000
-      | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ -> Error (`Msg ("bad stride: " ^ s)))
-    in
-    let stride_conv = Arg.conv (parse, Format.pp_print_int) in
-    Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
   in
   let fault_runtime =
     let doc = "Simulated runtime of each swept run, in seconds." in
@@ -968,79 +968,46 @@ let fault_cmd =
         List.iter prerr_endline ms;
         exit 1
     end
-    else begin
-      let t =
-        El_metrics.Table.create
-          ~columns:
-            [
-              ("manager", El_metrics.Table.Left);
-              ("seed", El_metrics.Table.Right);
-              ("events", El_metrics.Table.Right);
-              ("points", El_metrics.Table.Right);
-              ("recoveries", El_metrics.Table.Right);
-              ("committed", El_metrics.Table.Right);
-              ("killed", El_metrics.Table.Right);
-              ("torn blk", El_metrics.Table.Right);
-              ("torn rec", El_metrics.Table.Right);
-              ("retries", El_metrics.Table.Right);
-              ("remaps", El_metrics.Table.Right);
-              ("sheds", El_metrics.Table.Right);
-              ("failures", El_metrics.Table.Right);
-            ]
-      in
-      let failures = ref [] in
-      List.iter
-        (fun (name, kind) ->
-          for seed = 1 to seeds do
-            let cfg =
-              {
-                (Sweep.standard_config ~kind ~runtime ~rate ~seed
-                   ?preset:scenario ())
-                with
-                Experiment.fault = plan_for seed;
-              }
-            in
-            let o = Sweep.run ~pool ~stride cfg in
-            El_metrics.Table.add_row t
-              [
-                name;
-                string_of_int seed;
-                string_of_int o.Sweep.events;
-                string_of_int o.Sweep.points;
-                string_of_int o.Sweep.recoveries;
-                string_of_int o.Sweep.committed;
-                string_of_int o.Sweep.killed;
-                string_of_int o.Sweep.torn_blocks;
-                string_of_int o.Sweep.torn_records;
-                string_of_int o.Sweep.io_retries;
-                string_of_int o.Sweep.io_remaps;
-                string_of_int o.Sweep.sheds;
-                (if o.Sweep.overloaded then "overloaded"
-                 else if o.Sweep.faulted then "io-fatal"
-                 else string_of_int (List.length o.Sweep.failures));
-              ];
-            if quick && o.Sweep.points < 50 then
-              failures :=
-                Printf.sprintf
-                  "%s seed %d: only %d fault points (quick mode requires 50)"
-                  name seed o.Sweep.points
-                :: !failures;
-            List.iter
-              (fun (at, msg) ->
-                failures :=
-                  Printf.sprintf "%s seed %d [event %d]: %s" name seed at msg
-                  :: !failures)
-              o.Sweep.failures
-          done)
-        (Sweep.standard_kinds ());
-      El_metrics.Table.print t;
-      match List.rev !failures with
-      | [] -> print_endline "all fault sweeps clean"
-      | fs ->
-        Printf.eprintf "%d fault-sweep failure(s):\n" (List.length fs);
-        List.iter prerr_endline fs;
-        exit 1
-    end
+    else
+      sweep_report ~pool ~stride ~spec:false ~seeds ~quick ~points:"fault"
+        ~config:(fun ~kind ~seed ->
+          {
+            (Sweep.standard_config ~kind ~runtime ~rate ~seed ?preset:scenario
+               ())
+            with
+            Experiment.fault = plan_for seed;
+          })
+        ~columns:
+          [
+            ("events", El_metrics.Table.Right);
+            ("points", El_metrics.Table.Right);
+            ("recoveries", El_metrics.Table.Right);
+            ("committed", El_metrics.Table.Right);
+            ("killed", El_metrics.Table.Right);
+            ("torn blk", El_metrics.Table.Right);
+            ("torn rec", El_metrics.Table.Right);
+            ("retries", El_metrics.Table.Right);
+            ("remaps", El_metrics.Table.Right);
+            ("sheds", El_metrics.Table.Right);
+            ("failures", El_metrics.Table.Right);
+          ]
+        ~row:(fun o ->
+          [
+            string_of_int o.Sweep.events;
+            string_of_int o.Sweep.points;
+            string_of_int o.Sweep.recoveries;
+            string_of_int o.Sweep.committed;
+            string_of_int o.Sweep.killed;
+            string_of_int o.Sweep.torn_blocks;
+            string_of_int o.Sweep.torn_records;
+            string_of_int o.Sweep.io_retries;
+            string_of_int o.Sweep.io_remaps;
+            string_of_int o.Sweep.sheds;
+            (if o.Sweep.overloaded then "overloaded"
+             else if o.Sweep.faulted then "io-fatal"
+             else string_of_int (List.length o.Sweep.failures));
+          ])
+        ~clean:"all fault sweeps clean" ~failed:"fault-sweep failure(s)"
   in
   Cmd.v
     (Cmd.info "fault"

@@ -6,7 +6,6 @@ module Ledger = El_core.Ledger
 module Cell = El_core.Cell
 module Policy = El_core.Policy
 module Stable_db = El_disk.Stable_db
-module Experiment = El_harness.Experiment
 
 exception Audit_failure of string
 
@@ -140,10 +139,3 @@ let audit_hybrid m =
         fail "hybrid queue %d: %d anchors in an empty queue" q
           v.Hybrid_manager.qa_anchored)
     (Hybrid_manager.audit_view m)
-
-let audit_live (live : Experiment.live) =
-  match (live.Experiment.el, live.Experiment.fw, live.Experiment.hybrid) with
-  | Some m, _, _ -> audit_el m
-  | None, Some m, _ -> audit_fw m
-  | None, None, Some m -> audit_hybrid m
-  | None, None, None -> fail "experiment wired to no manager"

@@ -34,7 +34,3 @@ exception Audit_failure of string
 val audit_el : El_core.El_manager.t -> unit
 val audit_fw : El_core.Fw_manager.t -> unit
 val audit_hybrid : El_core.Hybrid_manager.t -> unit
-
-val audit_live : El_harness.Experiment.live -> unit
-(** Dispatches to the audit for whichever manager the experiment
-    runs. *)

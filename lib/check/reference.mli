@@ -4,9 +4,9 @@
 
     The model shadows every call crossing the
     {!El_workload.Generator.sink} boundary (via
-    {!El_harness.Experiment.prepare}'s [wrap_sink]) and every kill
-    (via [on_kill]).  It maintains the simplest possible semantics —
-    a transaction is committed exactly when its commit is
+    {!El_shard.Shard_group.prepare}'s [wrap_shard_sink]) and every
+    kill (via [on_shard_kill]).  It maintains the simplest possible
+    semantics — a transaction is committed exactly when its commit is
     acknowledged, and the committed database state is, per object, the
     newest version written by a committed transaction — and records
     any protocol violation it observes (acknowledgement of a killed or
@@ -25,10 +25,10 @@ val create : unit -> t
 
 val wrap : t -> El_workload.Generator.sink -> El_workload.Generator.sink
 (** Observer sink: records each call in the model, then forwards it to
-    the wrapped sink.  Pass as [Experiment.prepare ~wrap_sink:(wrap t)]. *)
+    the wrapped sink.  Pass as [Shard_group.prepare ~wrap_shard_sink]. *)
 
 val kill : t -> Ids.Tid.t -> unit
-(** Kill notification.  Pass as [Experiment.prepare ~on_kill:(kill t)]. *)
+(** Kill notification.  Pass as [Shard_group.prepare ~on_shard_kill]. *)
 
 val committed_count : t -> int
 (** Transactions whose commit acknowledgement has fired. *)

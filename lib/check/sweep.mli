@@ -31,7 +31,9 @@ open El_model
 type outcome = {
   kind : string;  (** ["el"], ["fw"] or ["hybrid"] *)
   seed : int;
-  shards : int;  (** 1: the solo path; > 1: the sharded composite *)
+  shards : int;
+      (** shards swept; every count runs through one
+          [El_shard.Shard_group] sweep, and 1 is the solo plant *)
   events : int;  (** events dispatched over the whole run *)
   points : int;  (** audit pauses taken *)
   recoveries : int;  (** crash/recover/audit cycles (EL only) *)
@@ -90,10 +92,12 @@ val run :
     the spec's durable promises, and the settled state must have
     flushed every ack; [pool] (default serial) fans the audit pauses
     out across its workers with an outcome identical to the serial
-    sweep's.  Raises [Invalid_argument] if [stride <= 0].
+    sweep's.  Raises [Invalid_argument] if [stride <= 0] or if the
+    config carries an observer (as {!El_shard.Shard_group.prepare}
+    does).
 
-    With [shards > 1] in the config, the run goes through
-    [El_shard.Shard_group] and the oracle becomes composite: one
+    Every run goes through [El_shard.Shard_group], whose 1-shard group
+    is the solo plant byte for byte, and the oracle is composite: one
     {!Reference} model and one {!Spec_tracker} per shard (each shard's
     sink traffic — branches, 2PC markers, decision transactions — is
     shadowed independently), per-shard crash/recover/audit at every
@@ -102,8 +106,10 @@ val run :
     cross-shard transaction with a durable decision and a missing
     branch, and no acknowledged transaction may lack its durable
     decision record.  The settled checks add router conservation
-    (generator acks = singles + cross) and per-shard ack
-    accounting. *)
+    (generator acks = singles + cross), per-shard ack accounting and,
+    once any transaction entered 2PC, one more atomic-commit crash of
+    the settled state.  Failure messages name a shard only when
+    [shards > 1]. *)
 
 val kind_name : El_harness.Experiment.manager_kind -> string
 

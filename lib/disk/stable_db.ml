@@ -6,17 +6,15 @@ let create ~num_objects =
   if num_objects <= 0 then invalid_arg "Stable_db.create: no objects";
   { num_objects; versions = Ids.Oid.Table.create 1024 }
 
+let in_range t oid =
+  let i = Ids.Oid.to_int oid in
+  i >= 0 && i < t.num_objects
+
 let apply t oid ~version =
-  if Ids.Oid.to_int oid >= t.num_objects then
-    invalid_arg "Stable_db.apply: oid out of range";
+  if not (in_range t oid) then invalid_arg "Stable_db.apply: oid out of range";
   match Ids.Oid.Table.find_opt t.versions oid with
   | Some v when v >= version -> ()
   | Some _ | None -> Ids.Oid.Table.replace t.versions oid version
-
-let of_pairs ~num_objects pairs =
-  let t = create ~num_objects in
-  List.iter (fun (oid, version) -> apply t oid ~version) pairs;
-  t
 
 let version t oid = Ids.Oid.Table.find_opt t.versions oid
 let objects_written t = Ids.Oid.Table.length t.versions

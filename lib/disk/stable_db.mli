@@ -14,15 +14,14 @@ type t
 
 val create : num_objects:int -> t
 
-val of_pairs : num_objects:int -> (Ids.Oid.t * int) list -> t
-(** A stable DB rebuilt from persisted install facts — the highest
-    version wins per oid, as in {!apply}.  Used when reconstructing a
-    crash image from a store scan. *)
-
 val apply : t -> Ids.Oid.t -> version:int -> unit
 (** Records that [version] of [oid] is now durable in the stable
     version.  Versions are monotone per object: applying an older
-    version than the one present is ignored (idempotent redo). *)
+    version than the one present is ignored (idempotent redo).  Raises
+    [Invalid_argument] unless {!in_range}. *)
+
+val in_range : t -> Ids.Oid.t -> bool
+(** [oid] lies in [[0, num_objects)] — the oids {!apply} accepts. *)
 
 val version : t -> Ids.Oid.t -> int option
 (** Last flushed version, or [None] if never written. *)

@@ -399,7 +399,7 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
     i_set_on_kill = set_on_kill;
   }
 
-let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
+let prepare ?(wrap_sink = fun sink -> sink) cfg =
   if cfg.shards <> 1 then
     invalid_arg
       "Experiment.prepare: shards > 1 runs go through El_shard.Shard_group";
@@ -445,11 +445,7 @@ let prepare ?(wrap_sink = fun sink -> sink) ?(on_kill = fun _ -> ()) cfg =
       ~max_retries:cfg.max_retries ~retry_backoff:cfg.retry_backoff
       ~on_contention ~on_retry ~num_objects:cfg.num_objects ()
   in
-  let kill tid =
-    on_kill tid;
-    Generator.kill generator tid
-  in
-  inst.i_set_on_kill kill;
+  inst.i_set_on_kill (Generator.kill generator);
   (* Time-series probes: the backlog/occupancy/memory curves of §4.
      All read-only, sampled at dispatch boundaries by the installed
      observer, so the simulation itself is untouched. *)

@@ -185,14 +185,11 @@ val dispose : live -> unit
 
 val prepare :
   ?wrap_sink:(El_workload.Generator.sink -> El_workload.Generator.sink) ->
-  ?on_kill:(El_model.Ids.Tid.t -> unit) ->
   config ->
   live
 (** [wrap_sink] interposes an observer between the workload generator
-    and the log manager (used by the {!El_check} differential oracle
-    to shadow every logging call); it must forward each call to the
-    sink it was given.  [on_kill] is invoked — before the generator is
-    told — whenever the manager kills a transaction.  Both default to
+    and the log manager (a tracer shadowing every logging call); it
+    must forward each call to the sink it was given.  Defaults to
     doing nothing. *)
 
 val run_with_crash :

@@ -134,6 +134,7 @@ type result = {
   records_scanned : int;
   redo_applied : int;
   redo_skipped : int;
+  out_of_range : int;
   torn_blocks : int;
   torn_records : int;
 }
@@ -151,8 +152,12 @@ let valid_prefix sealed_block =
 
 (* The pass every recovery shares: [records] are the trusted records in
    scan order, each block already cut at its first bad checksum, and
-   [recovered] is a private copy of the stable version to redo onto. *)
-let replay ?obs ~recovered ~crash_time ~torn_blocks ~torn_records records =
+   [recovered] is a private copy of the stable version to redo onto.
+   [dropped] counts the install facts already refused for naming an
+   oid outside the database; committed data records doing the same
+   join them instead of being redone. *)
+let replay ?obs ~recovered ~dropped ~crash_time ~torn_blocks ~torn_records
+    records =
   (* Pass 1 within the single scan: the committed transaction set is
      known once every record has been seen, so we fold the scan into a
      table first and then redo — still one read of the log. *)
@@ -167,6 +172,7 @@ let replay ?obs ~recovered ~crash_time ~torn_blocks ~torn_records records =
     records;
   let applied = ref 0 in
   let skipped = ref 0 in
+  let out_of_range = ref dropped in
   List.iter
     (fun (r : Log_record.t) ->
       match r.kind with
@@ -177,7 +183,9 @@ let replay ?obs ~recovered ~crash_time ~torn_blocks ~torn_records records =
           | Some v -> version > v
           | None -> true
         in
-        if newer then begin
+        if not (El_disk.Stable_db.in_range recovered oid) then
+          incr out_of_range
+        else if newer then begin
           El_disk.Stable_db.apply recovered oid ~version;
           incr applied
         end
@@ -206,6 +214,7 @@ let replay ?obs ~recovered ~crash_time ~torn_blocks ~torn_records records =
     records_scanned = !scanned;
     redo_applied = !applied;
     redo_skipped = !skipped;
+    out_of_range = !out_of_range;
     torn_blocks;
     torn_records;
   }
@@ -226,7 +235,7 @@ let recover ?obs image =
   in
   replay ?obs
     ~recovered:(El_disk.Stable_db.copy image.stable)
-    ~crash_time:image.crash_time ~torn_blocks:!torn_blocks
+    ~dropped:0 ~crash_time:image.crash_time ~torn_blocks:!torn_blocks
     ~torn_records:!torn_records records
 
 (* ---- recovery from a store image ---- *)
@@ -236,6 +245,22 @@ let recover ?obs image =
    it; recovery only counts it as torn. *)
 let discarded_placeholder =
   Log_record.abort ~tid:(Ids.Tid.of_int 0) ~size:1 ~timestamp:Time.zero
+
+(* A checksum-valid image may still name any oid, so install facts
+   outside [0, num_objects) are dropped and counted, never applied. *)
+let stable_of_facts ~num_objects facts =
+  let db = El_disk.Stable_db.create ~num_objects in
+  let dropped =
+    List.fold_left
+      (fun dropped (oid, version) ->
+        if El_disk.Stable_db.in_range db oid then begin
+          El_disk.Stable_db.apply db oid ~version;
+          dropped
+        end
+        else dropped + 1)
+      0 facts
+  in
+  (db, dropped)
 
 let image_of_scan ~num_objects ?(reference = [])
     (s : El_store.Log_store.scan) =
@@ -249,8 +274,7 @@ let image_of_scan ~num_objects ?(reference = [])
   in
   {
     blocks;
-    stable =
-      El_disk.Stable_db.of_pairs ~num_objects s.El_store.Log_store.s_stable;
+    stable = fst (stable_of_facts ~num_objects s.El_store.Log_store.s_stable);
     reference;
     crash_time = Time.zero;
   }
@@ -267,9 +291,9 @@ let recover_scan ?obs ~num_objects (s : El_store.Log_store.scan) =
         else (blocks, records))
       (0, 0) s.s_blocks
   in
-  replay ?obs
-    ~recovered:(El_disk.Stable_db.of_pairs ~num_objects s.s_stable)
-    ~crash_time:Time.zero ~torn_blocks ~torn_records
+  let recovered, dropped = stable_of_facts ~num_objects s.s_stable in
+  replay ?obs ~recovered ~dropped ~crash_time:Time.zero ~torn_blocks
+    ~torn_records
     (List.concat_map (fun (b : El_store.Log_store.block) -> b.sb_records)
        s.s_blocks)
 

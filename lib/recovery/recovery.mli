@@ -77,6 +77,10 @@ type result = {
   records_scanned : int;  (** checksum-valid records scanned *)
   redo_applied : int;  (** data records whose version won *)
   redo_skipped : int;  (** stale copies, uncommitted or aborted records *)
+  out_of_range : int;
+      (** stable install facts and committed data records naming an
+          oid outside [[0, num_objects)], dropped instead of applied —
+          a checksum-valid store image may still carry any oid *)
   torn_blocks : int;  (** blocks with a discarded (invalid) tail *)
   torn_records : int;  (** records discarded from torn tails *)
 }
@@ -101,9 +105,11 @@ val image_of_scan :
     rebuilt from the persisted install facts.  [reference] defaults to
     empty — a real restart has no ground truth; pass one to {!audit}
     against in-simulation expectations.  [crash_time] is {!Time.zero}:
-    a scanned image carries no clock.  Each discarded entry costs one
-    seal, so on an untrusted image (a header may claim any count)
-    prefer {!recover_scan}. *)
+    a scanned image carries no clock.  Install facts naming an oid
+    outside [[0, num_objects)] are dropped, uncounted (the image has
+    nowhere to count them; {!recover_scan} does).  Each discarded
+    entry costs one seal, so on an untrusted image (a header may claim
+    any count) prefer {!recover_scan}. *)
 
 val recover_scan :
   ?obs:El_obs.Obs.t -> num_objects:int -> El_store.Log_store.scan -> result

@@ -339,7 +339,13 @@ let test_auditor_standalone () =
       let cfg = Sweep.standard_config ~kind ~seed:5 () in
       let live = Experiment.prepare cfg in
       Engine.run live.Experiment.engine ~until:(Time.of_sec 10);
-      Auditor.audit_live live)
+      match
+        (live.Experiment.el, live.Experiment.fw, live.Experiment.hybrid)
+      with
+      | Some m, _, _ -> Auditor.audit_el m
+      | _, Some m, _ -> Auditor.audit_fw m
+      | _, _, Some m -> Auditor.audit_hybrid m
+      | _ -> Alcotest.fail "experiment wired to no manager")
     (Sweep.standard_kinds ())
 
 let suite =

@@ -311,24 +311,27 @@ let test_two_pc_resolution () =
 
 (* ---- deterministic crash-point sweeps under the composite oracle ---- *)
 
-(* Every manager kind, shards in {2, 4}: >= 50 audit pauses each, the
-   per-shard spec instances and the global atomic-commit invariant
-   must stay silent, and cross-shard traffic must actually flow. *)
+(* Every manager kind, shards in {2, 4} on the simulated store plus 2
+   shards on the mem store: >= 50 audit pauses each, the per-shard
+   spec instances and the global atomic-commit invariant must stay
+   silent, and cross-shard traffic must actually flow. *)
 let test_sharded_sweeps () =
   List.iter
     (fun (name, kind) ->
       List.iter
-        (fun shards ->
+        (fun (shards, backend, backend_name) ->
           let cfg =
             {
-              (Sweep.standard_config ~kind ~runtime:(Time.of_sec 15) ())
+              (Sweep.standard_config ~kind ~runtime:(Time.of_sec 15) ~backend
+                 ())
               with
               Experiment.shards;
             }
           in
           let o = Sweep.run ~stride:40 ~spec:true cfg in
           let l fmt =
-            Printf.sprintf ("%s @ %d shards: " ^^ fmt) name shards
+            Printf.sprintf ("%s @ %d shards (%s): " ^^ fmt) name shards
+              backend_name
           in
           Alcotest.(check (list (pair int string)))
             (l "composite oracle silent") [] o.Sweep.failures;
@@ -354,7 +357,11 @@ let test_sharded_sweeps () =
               true
               (o.Sweep.atomic_checks > 0)
           end)
-        [ 2; 4 ])
+        [
+          (2, Experiment.Sim, "sim");
+          (4, Experiment.Sim, "sim");
+          (2, Experiment.Mem_store, "mem");
+        ])
     (Sweep.standard_kinds ())
 
 (* ---- 1-shard group = solo path, byte for byte ---- *)

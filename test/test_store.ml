@@ -507,6 +507,7 @@ let recovery_view (r : Recovery.result) =
   ( List.sort compare (El_disk.Stable_db.snapshot r.Recovery.recovered),
     List.sort compare r.Recovery.committed_tids,
     r.Recovery.records_scanned,
+    r.Recovery.out_of_range,
     r.Recovery.torn_blocks,
     r.Recovery.torn_records )
 
@@ -705,6 +706,71 @@ let test_hostile_entry_fields () =
       ("negative timestamp", 33, min_int);
     ]
 
+(* Checksum-valid entries and install facts naming an oid the
+   database does not have: recovery drops and counts them instead of
+   raising out of [Stable_db.apply], and a serve restart on the image
+   comes up with the in-range state. *)
+let out_of_range_fact b =
+  let t = Log_store.create b in
+  Log_store.append_stable t ~oid:(Ids.Oid.of_int 500) ~version:1;
+  Log_store.append_stable t ~oid:(Ids.Oid.of_int 7) ~version:2
+
+let out_of_range_entry b =
+  let t = Log_store.create b in
+  let tid = Ids.Tid.of_int 3 and timestamp = Time.of_us 10 in
+  Log_store.append_block t ~gen:0 ~slot:0
+    [
+      Log_record.begin_ ~tid ~size:8 ~timestamp;
+      Log_record.data ~tid ~oid:(Ids.Oid.of_int 100) ~version:1 ~size:10
+        ~timestamp;
+      Log_record.data ~tid ~oid:(Ids.Oid.of_int 8) ~version:4 ~size:10
+        ~timestamp;
+      Log_record.commit ~tid ~size:8 ~timestamp;
+    ]
+
+let test_out_of_range_oids () =
+  let check name build ~dropped ~state =
+    let b = Backend.mem () in
+    build b;
+    let r = Recovery.recover_store ~num_objects:100 b in
+    Alcotest.(check int) (name ^ ": dropped and counted") dropped
+      r.Recovery.out_of_range;
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": in-range state recovered") state
+      (List.sort compare
+         (List.map
+            (fun (o, v) -> (Ids.Oid.to_int o, v))
+            (El_disk.Stable_db.snapshot r.Recovery.recovered)));
+    with_temp_dir (fun dir ->
+        let image = Filename.concat dir "serve.img" in
+        let fb = Backend.file ~path:image in
+        build fb;
+        Backend.close fb;
+        let t =
+          El_serve.Serve.start
+            { (El_serve.Serve.default_config ~image) with num_objects = 100 }
+        in
+        Fun.protect
+          ~finally:(fun () -> El_serve.Serve.close t)
+          (fun () ->
+            Alcotest.(check int) (name ^ ": serve restart counts them") dropped
+              (El_serve.Serve.recovered t).Recovery.out_of_range))
+  in
+  check "stable fact" out_of_range_fact ~dropped:1 ~state:[ (7, 2) ];
+  check "data entry" out_of_range_entry ~dropped:1 ~state:[ (8, 4) ];
+  check "both"
+    (fun b ->
+      out_of_range_fact b;
+      let t = Log_store.attach b in
+      Log_store.append_block t ~gen:0 ~slot:0
+        [
+          Log_record.data ~tid:(Ids.Tid.of_int 4) ~oid:(Ids.Oid.of_int 100)
+            ~version:2 ~size:10 ~timestamp:(Time.of_us 20);
+          Log_record.commit ~tid:(Ids.Tid.of_int 4) ~size:8
+            ~timestamp:(Time.of_us 21);
+        ])
+    ~dropped:2 ~state:[ (7, 2) ]
+
 (* ---- the single-pass restart ---- *)
 
 let backend_of_string img =
@@ -791,6 +857,67 @@ let test_attach_scan_after_truncate () =
     r.Recovery.torn_records;
   Alcotest.(check int) "the complete segment is replayed" 2
     r.Recovery.records_scanned
+
+(* A second crash while restarting: attach has cut a torn tail, then
+   the process dies again — before it appends anything, or tearing its
+   first new segment at any byte.  The next attach must recover what
+   the first one did, and segments landed after it must carry an epoch
+   no scan has seen, so they shadow nothing. *)
+let test_second_crash_during_attach () =
+  let torn_image =
+    let b = Backend.mem () in
+    let t = Log_store.create b in
+    Log_store.append_block t ~gen:0 ~slot:0 sample_records;
+    Log_store.append_stable t ~oid:(Ids.Oid.of_int 5) ~version:4;
+    Log_store.append_block t ~gen:0 ~slot:1 (records_of 5 10);
+    Backend.truncate b
+      ~len:(Backend.size b - (2 * Codec.entry_bytes) - (Codec.entry_bytes / 2));
+    image_string b
+  in
+  let first_attach () =
+    let b = backend_of_string torn_image in
+    let t, s = Log_store.attach_with_scan b in
+    (b, t, s, recovery_view (Recovery.recover_scan ~num_objects:100 s))
+  in
+  let b0, _, s0, expected = first_attach () in
+  let cut = Backend.size b0 in
+  let reattach name b =
+    let t, s = Log_store.attach_with_scan b in
+    Alcotest.(check int) (name ^ ": cut back to the first attach's image") cut
+      (Backend.size b);
+    Alcotest.(check bool) (name ^ ": same recovered state") true
+      (recovery_view (Recovery.recover_scan ~num_objects:100 s) = expected);
+    Log_store.append_block t ~gen:0 ~slot:0 (records_of 2 50);
+    let after = Log_store.scan b in
+    Alcotest.(check bool) (name ^ ": new epoch above every scanned one") true
+      (List.for_all
+         (fun bl -> bl.Log_store.sb_epoch < Log_store.epoch t)
+         (s0.Log_store.s_blocks @ s.Log_store.s_blocks));
+    Alcotest.(check int) (name ^ ": the landed segment shadows nothing")
+      (List.length s.Log_store.s_blocks + 1)
+      (List.length after.Log_store.s_blocks)
+  in
+  (* crash before any append: the truncated image is all there is *)
+  let b, _, _, _ = first_attach () in
+  reattach "no append" b;
+  (* crash tearing the first new segment anywhere inside it *)
+  List.iter
+    (fun keep ->
+      let b, t, _, _ = first_attach () in
+      Backend.set_write_fault b ~after_pwrites:0 ~keep_bytes:keep;
+      Log_store.append_block t ~gen:0 ~slot:0 (records_of 3 30);
+      Alcotest.(check bool) "the tear fired" true (Backend.dead b);
+      Backend.revive b;
+      Alcotest.(check int) "only the torn prefix landed" (cut + keep)
+        (Backend.size b);
+      reattach (Printf.sprintf "torn at byte %d" keep) b)
+    [
+      1;
+      Codec.header_bytes - 1;
+      Codec.header_bytes;
+      Codec.header_bytes + Codec.entry_bytes;
+      Codec.header_bytes + (2 * Codec.entry_bytes) + 5;
+    ]
 
 (* The reference scan: decode every entry of every segment, then dedup
    by key — the plain form of what [scan] computes while skipping the
@@ -886,7 +1013,7 @@ type op =
   | Fact of int * int
   | Reattach
 
-let op_gen =
+let op_gen_of oid_gen =
   let open QCheck.Gen in
   let record =
     map
@@ -899,7 +1026,7 @@ let op_gen =
         | _ ->
           Log_record.data ~tid ~oid:(Ids.Oid.of_int oid) ~version ~size
             ~timestamp)
-      (tup5 (int_bound 7) (int_bound 12) (int_bound 20) (int_bound 30)
+      (tup5 (int_bound 7) (int_bound 12) oid_gen (int_bound 30)
          (int_range 1 64))
   in
   frequency
@@ -911,9 +1038,11 @@ let op_gen =
             Block { gen; slot; records; torn })
           (tup4 (int_bound 2) (int_bound 3) (list_size (int_range 1 6) record)
              (opt ~ratio:0.2 (int_bound 6))) );
-      (3, map2 (fun o v -> Fact (o, v)) (int_bound 20) (int_bound 30));
+      (3, map2 (fun o v -> Fact (o, v)) oid_gen (int_bound 30));
       (1, return Reattach);
     ]
+
+let op_gen = op_gen_of (QCheck.Gen.int_bound 20)
 
 let build_image ops =
   let b = Backend.mem () in
@@ -1041,7 +1170,12 @@ let splice_headers img splices =
 
 let mutated_image_arb =
   let open QCheck in
-  let real = Gen.(map build_image (list_size (int_bound 12) op_gen)) in
+  (* entries and facts may name oids at or above the fuzz's
+     num_objects = 100 *)
+  let oid = Gen.(frequency [ (3, int_bound 20); (1, int_range 95 130) ]) in
+  let real =
+    Gen.(map build_image (list_size (int_bound 12) (op_gen_of oid)))
+  in
   let count =
     Gen.oneof
       [
@@ -1141,4 +1275,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scan_matches_oracle;
     QCheck_alcotest.to_alcotest prop_single_pass_restart;
     QCheck_alcotest.to_alcotest prop_fuzz_total;
+    Alcotest.test_case "out-of-range oids are dropped and counted" `Quick
+      test_out_of_range_oids;
+    Alcotest.test_case "second crash during attach recovers the same" `Quick
+      test_second_crash_during_attach;
   ]
