@@ -38,6 +38,9 @@ type config = {
       (* recycle ledger entries / arena segments instead of
          allocating; behaviour-identical, off for A/B profiling *)
   group_fsync : bool;  (* batch store barriers per settle wave *)
+  stop_at_kill : bool;
+      (* halt the engine at the first kill: the feasibility probes'
+         setting, since one kill decides the answer *)
   shards : int;
       (* oid-range partitions, one manager plant each; 1 = the solo
          path.  [prepare] itself only accepts 1 — sharded runs go
@@ -67,6 +70,7 @@ let default_config ~kind ~mix =
     backend = Sim;
     pooling = true;
     group_fsync = false;
+    stop_at_kill = false;
     shards = 1;
   }
 
@@ -445,7 +449,9 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
       ~max_retries:cfg.max_retries ~retry_backoff:cfg.retry_backoff
       ~on_contention ~on_retry ~num_objects:cfg.num_objects ()
   in
-  inst.i_set_on_kill (Generator.kill generator);
+  inst.i_set_on_kill (fun tid ->
+      Generator.kill generator tid;
+      if cfg.stop_at_kill then Engine.halt engine);
   (* Time-series probes: the backlog/occupancy/memory curves of §4.
      All read-only, sampled at dispatch boundaries by the installed
      observer, so the simulation itself is untouched. *)

@@ -93,6 +93,17 @@ type config = {
           {!El_store.Log_store.Grouped} sync mode: segments appended
           while the engine settles share one barrier instead of one
           each.  [false] (default) fsyncs every segment. *)
+  stop_at_kill : bool;
+      (** [true] halts the engine ({!El_sim.Engine.halt}) right after
+          the first killed transaction, instead of simulating on to
+          [runtime].  Such a run reports [feasible = false] and
+          [killed >= 1]; every other counter in its {!result} is
+          partial — it covers only the simulated span up to the kill
+          (rates still divide by the full [runtime]).  A run that
+          kills nobody never halts, so its result is the full run's,
+          byte for byte.  [false] (default) always simulates to the
+          end.  The minimum-space probes ({!Min_space}) set it: one
+          kill already decides that a size is infeasible. *)
   shards : int;
       (** number of oid-range partitions, each with its own manager
           plant (1 — the default — is the solo path).  {!prepare}

@@ -207,10 +207,8 @@ let generation_count_sweep ?(pool = Pool.serial) ?(speed = `Full)
   in
   (* One generation: a single recirculating ring. *)
   (match
-     Min_space.min_feasible ~pool ~lo:(Params.head_tail_gap + 1) ~hi:512
-       (fun n ->
-         Experiment.run
-           { cfg with Experiment.kind = Experiment.Ephemeral (with_recirc [| n |]) })
+     Min_space.min_el_last_gen ~pool cfg ~make_policy:with_recirc ~leading:[||]
+       ~hi:512
    with
   | Some (n, result) -> record [| n |] result
   | None -> ());

@@ -475,7 +475,12 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
     (fun i inst ->
       inst.Experiment.i_set_on_kill (fun tid ->
           on_shard_kill i tid;
-          on_manager_kill t i tid))
+          on_manager_kill t i tid;
+          (* Halt only once the generator counts a kill: a branch that
+             merely blocks a 2PC transaction leaves the run feasible,
+             so it must run on to the end. *)
+          if cfg.Experiment.stop_at_kill && Generator.killed generator > 0
+          then Engine.halt sg_engine))
     sg_instances;
   t
 

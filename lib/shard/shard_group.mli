@@ -48,8 +48,11 @@ val prepare :
     transaction's state for {!cross_views} — the sweep oracle needs
     it; long benches don't.  [ctl_slots] sizes each shard's 2PC
     control region (default 4096 live cross-shard transactions per
-    shard).  Raises [Invalid_argument] if the config carries an
-    observer (unsupported on the sharded path) or [shards < 1]. *)
+    shard).  With [cfg.stop_at_kill], the shared engine halts at the
+    first kill the generator counts; a branch kill that only blocks a
+    2PC transaction does not halt it.  Raises [Invalid_argument] if
+    the config carries an observer (unsupported on the sharded path)
+    or [shards < 1]. *)
 
 val engine : t -> El_sim.Engine.t
 val generator : t -> El_workload.Generator.t

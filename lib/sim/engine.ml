@@ -8,6 +8,7 @@ type t = {
   mutable observers_rev : (unit -> unit) list;  (* newest first *)
   mutable observers : (unit -> unit) array;  (* FIFO cache of the above *)
   mutable observers_stale : bool;
+  mutable halted : bool;  (* sticky: set by [halt], never cleared *)
 }
 
 let create ?(seed = 42) () =
@@ -19,6 +20,7 @@ let create ?(seed = 42) () =
     observers_rev = [];
     observers = [||];
     observers_stale = false;
+    halted = false;
   }
 
 let now t = t.clock
@@ -51,19 +53,23 @@ let dispatch t time f =
   f ();
   Array.iter (fun o -> o ()) t.observers
 
+let halt t = t.halted <- true
+
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    dispatch t time f;
-    true
+  if t.halted then false
+  else
+    match Event_queue.pop t.queue with
+    | None -> false
+    | Some (time, f) ->
+      dispatch t time f;
+      true
 
 (* Dispatch at most [max_steps] events with time <= [limit] (in us);
    returns how many were dispatched. *)
 let run_bounded t ~limit ~max_steps =
   let dispatched = ref 0 in
   let continue = ref true in
-  while !continue && !dispatched < max_steps do
+  while !continue && !dispatched < max_steps && not t.halted do
     match Event_queue.peek_time t.queue with
     | Some time when time <= limit -> (
       match Event_queue.pop t.queue with
@@ -78,15 +84,17 @@ let run_bounded t ~limit ~max_steps =
 let run t ~until =
   let limit = Time.to_us until in
   ignore (run_bounded t ~limit ~max_steps:max_int);
-  if Time.(t.clock < until) then t.clock <- until
+  if (not t.halted) && Time.(t.clock < until) then t.clock <- until
 
 let run_steps t ~until ~max_steps =
   if max_steps < 0 then invalid_arg "Engine.run_steps: negative max_steps";
   let limit = Time.to_us until in
   let n = run_bounded t ~limit ~max_steps in
   (* Fewer dispatches than asked means the horizon was exhausted: land
-     the clock exactly on [until], as {!run} does. *)
-  if n < max_steps && Time.(t.clock < until) then t.clock <- until;
+     the clock exactly on [until], as {!run} does — unless a halt ended
+     the dispatching, which leaves the clock at the halting event. *)
+  if n < max_steps && (not t.halted) && Time.(t.clock < until) then
+    t.clock <- until;
   n
 
 let run_all t = while step t do () done

@@ -36,7 +36,9 @@ val run : t -> until:Time.t -> unit
     time at most [until], so afterwards the clock reads exactly
     [until] — it is advanced there even when the queue empties early,
     and it never moves backwards (a call with [until] in the past
-    dispatches nothing and leaves the clock unchanged). *)
+    dispatches nothing and leaves the clock unchanged).  After a
+    {!halt} it dispatches nothing more and leaves the clock where it
+    is. *)
 
 val run_steps : t -> until:Time.t -> max_steps:int -> int
 (** [run_steps t ~until ~max_steps] dispatches at most [max_steps]
@@ -46,13 +48,24 @@ val run_steps : t -> until:Time.t -> max_steps:int -> int
     [until] exactly as {!run} would; otherwise the clock rests at the
     last dispatched event, so callers can inspect a mid-run state at a
     deterministic event boundary (the crash-sweep harness pauses
-    here).  Raises [Invalid_argument] if [max_steps] is negative. *)
+    here).  After a {!halt} it dispatches nothing more and never moves
+    the clock.  Raises [Invalid_argument] if [max_steps] is negative. *)
 
 val run_all : t -> unit
 (** Dispatches every remaining event. *)
 
 val step : t -> bool
-(** Dispatches a single event; [false] if the queue was empty. *)
+(** Dispatches a single event; [false] if the queue was empty or the
+    engine is halted. *)
+
+val halt : t -> unit
+(** Stops the engine for good.  Called from inside an event, it lets
+    that event and its dispatch observers finish; then {!run},
+    {!run_steps}, {!run_all} and {!step} dispatch nothing more, and
+    the clock stays at the event that halted.  The flag is sticky:
+    nothing clears it.  Pending events stay queued and unrun.  The
+    minimum-space search halts a probe at its first kill, since one
+    kill already decides the probe is infeasible. *)
 
 val on_dispatch : t -> (unit -> unit) -> unit
 (** [on_dispatch t f] registers [f] to run after every dispatched

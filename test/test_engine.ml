@@ -157,6 +157,50 @@ let test_observer_registered_mid_dispatch () =
   Engine.run_all e;
   Alcotest.(check int) "fires only at later boundaries" 1 !hits
 
+(* [halt] from inside an event: that event and its observers finish,
+   then nothing more dispatches, the clock stays at the halting event
+   (neither [run] nor [run_steps] lands it on [until]), and the flag
+   outlives every later call. *)
+let test_halt_is_sticky () =
+  let e = Engine.create () in
+  let fired = ref [] and boundaries = ref 0 in
+  Engine.on_dispatch e (fun () -> incr boundaries);
+  List.iter
+    (fun ms ->
+      Engine.schedule_at e (Time.of_ms ms) (fun () ->
+          fired := ms :: !fired;
+          if ms = 2 then Engine.halt e))
+    [ 1; 2; 3; 4 ];
+  Engine.run e ~until:(Time.of_ms 10);
+  Alcotest.(check (list int)) "run stops after the halting event" [ 1; 2 ]
+    (List.rev !fired);
+  Alcotest.(check int) "its observers still ran" 2 !boundaries;
+  Alcotest.(check int) "clock stays at the halting event" 2_000
+    (Time.to_us (Engine.now e));
+  Alcotest.(check int) "later events stay queued" 2 (Engine.pending_events e);
+  Alcotest.(check int) "run_steps dispatches nothing" 0
+    (Engine.run_steps e ~until:(Time.of_ms 10) ~max_steps:5);
+  Engine.run e ~until:(Time.of_ms 10);
+  Alcotest.(check bool) "step dispatches nothing" false (Engine.step e);
+  Engine.run_all e;
+  Alcotest.(check int) "clock never moves again" 2_000
+    (Time.to_us (Engine.now e));
+  Alcotest.(check int) "dispatch counter frozen" 2 (Engine.events_dispatched e);
+  Alcotest.(check int) "nothing popped" 2 (Engine.pending_events e)
+
+let test_halt_stops_run_steps () =
+  let e = Engine.create () in
+  List.iter
+    (fun ms ->
+      Engine.schedule_at e (Time.of_ms ms) (fun () ->
+          if ms = 3 then Engine.halt e))
+    [ 1; 2; 3; 4; 5 ];
+  let n = Engine.run_steps e ~until:(Time.of_ms 10) ~max_steps:50 in
+  Alcotest.(check int) "stops at the halting event" 3 n;
+  Alcotest.(check int) "clock not advanced to until" 3_000
+    (Time.to_us (Engine.now e));
+  Alcotest.(check int) "rest left queued" 2 (Engine.pending_events e)
+
 let suite =
   [
     Alcotest.test_case "clock advances with dispatch" `Quick test_clock_advances;
@@ -178,4 +222,8 @@ let suite =
       test_cascading_events;
     Alcotest.test_case "seeded determinism" `Quick test_determinism;
     Alcotest.test_case "dispatch counter" `Quick test_events_dispatched;
+    Alcotest.test_case "halt stops run and is sticky" `Quick
+      test_halt_is_sticky;
+    Alcotest.test_case "halt stops run_steps mid-stride" `Quick
+      test_halt_stops_run_steps;
   ]

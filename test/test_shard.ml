@@ -420,6 +420,89 @@ let test_shard_accounting () =
         (s.Shard_group.ss_mailbox_ops > 0))
     rr.Shard_group.r_shards
 
+(* ---- stopping at the first kill ---- *)
+
+(* With [stop_at_kill], the shared engine halts at the first kill the
+   generator counts: an infeasible size dispatches fewer events and
+   still reports the kill, a feasible one runs to the end and is
+   Marshal-identical to the plain run, and at one shard the halted run
+   is the solo halted run. *)
+let test_stop_at_kill () =
+  let run_counted cfg =
+    let t = Shard_group.prepare cfg in
+    Fun.protect
+      ~finally:(fun () -> Shard_group.dispose t)
+      (fun () ->
+        let rr = Shard_group.finish t in
+        ( rr.Shard_group.r_global,
+          El_sim.Engine.events_dispatched (Shard_group.engine t) ))
+  in
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun (blocks, feasible) ->
+          let name = Printf.sprintf "%d shards, FW %d" shards blocks in
+          let cfg =
+            {
+              (Experiment.default_config ~kind:(Experiment.Firewall blocks)
+                 ~mix:(El_workload.Mix.short_long ~long_fraction:0.05))
+              with
+              Experiment.runtime = Time.of_sec 20;
+              shards;
+            }
+          in
+          let plain, plain_events = run_counted cfg in
+          let stopped, stopped_events =
+            run_counted { cfg with Experiment.stop_at_kill = true }
+          in
+          Alcotest.(check bool) (name ^ ": feasibility") feasible
+            plain.Experiment.feasible;
+          Alcotest.(check bool) (name ^ ": same verdict") feasible
+            stopped.Experiment.feasible;
+          if feasible then
+            Alcotest.(check bool) (name ^ ": result Marshal-identical") true
+              (Marshal.to_string plain [] = Marshal.to_string stopped [])
+          else begin
+            Alcotest.(check bool) (name ^ ": killed >= 1") true
+              (stopped.Experiment.killed >= 1);
+            Alcotest.(check bool) (name ^ ": fewer events") true
+              (stopped_events < plain_events)
+          end;
+          if shards = 1 then
+            Alcotest.(check bool) (name ^ ": halted run = solo halted run")
+              true
+              (Marshal.to_string stopped []
+              = Marshal.to_string
+                  (Experiment.run { cfg with Experiment.stop_at_kill = true })
+                  []))
+        [ (512, true); (40, false) ])
+    [ 1; 2 ]
+
+(* The FW search on a sharded plant: the merged result carries no
+   per-plant FW stats, so the bracket comes from the probed sizes.
+   The answer is feasible and one block less kills. *)
+let test_sharded_min_fw () =
+  let cfg =
+    {
+      (Experiment.default_config ~kind:(Experiment.Firewall 512)
+         ~mix:(El_workload.Mix.short_long ~long_fraction:0.05))
+      with
+      Experiment.runtime = Time.of_sec 20;
+      shards = 2;
+    }
+  in
+  let blocks, result =
+    El_harness.Min_space.min_fw ~run:Shard_group.run_global cfg
+  in
+  Alcotest.(check bool) "minimum is feasible" true result.Experiment.feasible;
+  let less =
+    Shard_group.run_global
+      { cfg with Experiment.kind = Experiment.Firewall (blocks - 1) }
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks kills" (blocks - 1))
+    false less.Experiment.feasible
+
 let suite =
   [
     Alcotest.test_case "partition tiles the oid space" `Quick
@@ -439,6 +522,10 @@ let suite =
       test_two_pc_resolution;
     Alcotest.test_case "sharded sweeps: composite oracle silent (2,4)" `Slow
       test_sharded_sweeps;
+    Alcotest.test_case "stop_at_kill halts the shared engine" `Quick
+      test_stop_at_kill;
+    Alcotest.test_case "sharded FW min-space search" `Quick
+      test_sharded_min_fw;
     Alcotest.test_case "one shard = solo path (Marshal)" `Quick
       test_one_shard_identity;
     Alcotest.test_case "per-shard accounting balances" `Quick
