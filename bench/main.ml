@@ -1,40 +1,146 @@
 (* Benchmark harness: regenerates every figure and in-text result of
-   the paper's evaluation (§4) and runs Bechamel micro-benchmarks of
-   the core machinery.
+   the paper's evaluation (§4) next to the paper's reference values,
+   adds experiments beyond the paper, and runs Bechamel
+   micro-benchmarks of the core machinery.
 
-   Usage:
-     bench/main.exe [--quick] [--jobs N] [--json PATH]
-                    [fig4] [fig5] [fig6] [fig7]
-                    [headline] [scarce] [rates] [recovery] [ablation]
-                    [gens] [adaptive] [checkpoint] [poisson] [hotpath]
-                    [store] [shards] [micro]
+   Usage: bench/main.exe [--quick] [--jobs N] [--json PATH] [SECTION...]
 
-   With no selector, everything runs.  --quick shortens the simulated
-   runs (120 s instead of the paper's 500 s) and coarsens sweeps; the
-   shapes still hold, absolute numbers move slightly.  --jobs N runs
-   the independent simulations behind each sweep on N domains (default
-   1 = serial; tables and JSON are identical either way, see
-   lib/par).  --json writes a machine-readable summary ("el-bench/1"
-   schema) of every section that ran, for CI regression checks and
-   committed baselines. *)
+   The [sections] table at the bottom of this file is the list of
+   selectors, the SECTIONS part of --help and the run order.  With no
+   selector every section runs; an unknown selector is a usage error.
+   --quick shortens the simulated runs (120 s instead of the paper's
+   500 s) and coarsens sweeps; the shapes still hold, absolute numbers
+   move slightly.  --jobs N runs the independent simulations behind
+   each sweep on N domains (default 1 = serial; tables and JSON are
+   identical either way, see lib/par).  --json writes a
+   machine-readable summary ("el-bench/1" schema) of every section
+   that ran, for CI regression checks and committed baselines.
+
+   Every number a section reports is a [field]: a label, optionally
+   the paper's value, optionally a JSON key, and a [value] that knows
+   both its display string and its JSON form.  [table] and [metrics]
+   print a field list and return its keyed JSON, so the terminal and
+   the JSON file are two renderings of one list. *)
 
 open El_model
 module Table = El_metrics.Table
 module Paper = El_harness.Paper
 module Experiment = El_harness.Experiment
 module Policy = El_core.Policy
+module J = El_obs.Jsonx
 
-let heading title = Printf.printf "\n==== %s ====\n\n" title
-let fmt_f f = Printf.sprintf "%.2f" f
-let fmt_f0 f = Printf.sprintf "%.0f" f
+(* ---- fields: one declaration per reported number ---- *)
+
+type value = { text : string; json : J.t; align : Table.align }
+
+let j_ints a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
+let plus a = String.concat "+" (Array.to_list (Array.map string_of_int a))
+
+let int ?text i =
+  {
+    text = Option.value text ~default:(string_of_int i);
+    json = J.Int i;
+    align = Table.Right;
+  }
+
+let num ?(digits = 2) ?(suffix = "") x =
+  {
+    text = Printf.sprintf "%.*f%s" digits x suffix;
+    json = J.Float x;
+    align = Table.Right;
+  }
+
+let sizes a = { text = plus a; json = j_ints a; align = Table.Left }
+let text s = { text = s; json = J.String s; align = Table.Left }
+
+let flag ?(yes = "yes") ?(no = "no") b =
+  { text = (if b then yes else no); json = J.Bool b; align = Table.Left }
+
+type field = {
+  label : string option;  (** [None]: JSON only *)
+  paper : string option;  (** the paper's value, printed beside ours *)
+  key : string option;  (** [None]: terminal only *)
+  value : value;
+}
+
+let col ?paper ?key label value = { label = Some label; paper; key; value }
+let json key value = { label = None; paper = None; key = Some key; value }
+
+(* The keyed fields in order; a key seen before is skipped, so field
+   lists that share a column can be concatenated. *)
+let keyed fields =
+  List.fold_left
+    (fun acc f ->
+      match f.key with
+      | Some k when not (List.mem_assoc k acc) -> (k, f.value.json) :: acc
+      | _ -> acc)
+    [] fields
+  |> List.rev
+
+let obj fields = J.Obj (keyed fields)
+let shown fields = List.filter (fun f -> f.label <> None) fields
+
+(* One row per element of [rows], one column per labelled field.  A
+   field with a paper value gets a column of its own first, headed by
+   the field's label with "measured" read as "paper".  Returns each
+   row's keyed fields as a JSON object. *)
+let table rows =
+  (match rows with
+  | [] -> ()
+  | first :: _ ->
+    let paper_header l =
+      String.split_on_char ' ' l
+      |> List.map (function "measured" -> "paper" | w -> w)
+      |> String.concat " "
+    in
+    let columns =
+      List.concat_map
+        (fun f ->
+          let l = Option.get f.label in
+          (if f.paper = None then [] else [ (paper_header l, Table.Right) ])
+          @ [ (l, f.value.align) ])
+        (shown first)
+    in
+    let t = Table.create ~columns in
+    List.iter
+      (fun row ->
+        Table.add_row t
+          (List.concat_map
+             (fun f -> Option.to_list f.paper @ [ f.value.text ])
+             (shown row)))
+      rows;
+    Table.print t);
+  List.map obj rows
+
+(* One row per labelled field: "metric | value", or "metric | paper |
+   measured" when any field carries a paper value.  Returns the keyed
+   fields. *)
+let metrics fields =
+  let with_paper = List.exists (fun f -> f.paper <> None) fields in
+  let t =
+    Table.create
+      ~columns:
+        (("metric", Table.Left)
+        ::
+        (if with_paper then
+           [ ("paper", Table.Right); ("measured", Table.Right) ]
+         else [ ("value", Table.Right) ]))
+  in
+  List.iter
+    (fun f ->
+      Table.add_row t
+        ((Option.get f.label
+         :: (if with_paper then [ Option.value f.paper ~default:"-" ] else []))
+        @ [ f.value.text ]))
+    (shown fields);
+  Table.print t;
+  keyed fields
 
 (* ---- machine-readable output (--json PATH) ----
 
-   Sections accumulate as benches run; the same tables the terminal
-   shows, as data.  The file is the "el-bench/1" schema consumed by
-   the CI schema check and committed as BENCH_<date>.json. *)
-
-module J = El_obs.Jsonx
+   Sections accumulate as benches run; the file is the "el-bench/1"
+   schema consumed by the CI schema check and committed as
+   BENCH_<date>.json. *)
 
 (* The work pool behind every sweep; main swaps it for a real one
    when --jobs N > 1 is given.  Sections always collect results in
@@ -47,25 +153,22 @@ let json_sections : (string * J.t) list ref = ref []
    it.  The paper benches run the pure simulation ("sim"); a section
    that measures a real store (e.g. [store]) carries its own
    "backend" field, which wins. *)
-let section_backend = ref "sim"
-
 let add_section name doc =
   let doc =
     match doc with
     | J.Obj fields when not (List.mem_assoc "backend" fields) ->
-      J.Obj (("backend", J.String !section_backend) :: fields)
+      J.Obj (("backend", J.String "sim") :: fields)
     | _ -> doc
   in
   if not (List.mem_assoc name !json_sections) then
     json_sections := !json_sections @ [ (name, doc) ]
 
-let j_ints a = J.List (Array.to_list (Array.map (fun i -> J.Int i) a))
-
-(* Allocation accounting: every section carries an "alloc" object with
-   the GC words its workload allocated.  Unlike throughput rates —
-   hopelessly noisy on a shared box — allocation counts are
-   deterministic for a fixed seed and mode, so CI can regress them
-   tightly. *)
+(* Allocation accounting: sections carry an "alloc" object with the
+   GC words allocated while their workload ran.  These are
+   [Gc.quick_stat] deltas: they track allocation volume, but two
+   identical runs can differ by ~10^5 minor words, so they are not a
+   regression gate.  The precise gates are the hotpath section's
+   per-op [Gc.minor_words] counts. *)
 let with_alloc f =
   let s0 = Gc.quick_stat () in
   let r = f () in
@@ -79,38 +182,7 @@ let with_alloc f =
           J.Float (s1.Gc.promoted_words -. s0.Gc.promoted_words) );
       ] )
 
-let mix_row_json (r : Paper.mix_row) =
-  J.Obj
-    [
-      ("long_pct", J.Int r.long_pct);
-      ("fw_blocks", J.Int r.fw_blocks);
-      ("el_blocks", J.Int r.el_blocks);
-      ("el_sizes", j_ints r.el_sizes);
-      ("fw_bandwidth", J.Float r.fw_bandwidth);
-      ("el_bandwidth", J.Float r.el_bandwidth);
-      ("fw_memory", J.Int r.fw_memory);
-      ("el_memory", J.Int r.el_memory);
-      ("updates_per_sec", J.Float r.updates_per_sec);
-    ]
-
-(* Shared runs behind Figures 4, 5 and 6: computed once on demand. *)
-let mix_rows : (Paper.speed, Paper.mix_row list) Hashtbl.t = Hashtbl.create 2
-
-let get_mix_rows speed =
-  match Hashtbl.find_opt mix_rows speed with
-  | Some rows -> rows
-  | None ->
-    Printf.printf
-      "(running the Fig. 4/5/6 minimum-space sweeps; this is the expensive \
-       part)\n%!";
-    let rows, alloc =
-      with_alloc (fun () -> Paper.figs_4_5_6 ~pool:!pool ~speed ())
-    in
-    Hashtbl.replace mix_rows speed rows;
-    add_section "mix_sweep"
-      (J.Obj
-         [ ("rows", J.List (List.map mix_row_json rows)); ("alloc", alloc) ]);
-    rows
+(* ---- Figures 4, 5, 6 and the update rates: one shared sweep ---- *)
 
 (* Paper reference series.  The text gives exact anchors at the 5 %
    mix; the remaining points are read off the published figures and
@@ -127,107 +199,120 @@ let paper_fig5_fw =
 let paper_fig5_el =
   [ (5, "12.87"); (10, "~13.5"); (20, "~14.8"); (30, "~16.0"); (40, "~17.2") ]
 
+let paper_rates =
+  [ (5, "210"); (10, "220"); (20, "240"); (30, "260"); (40, "280") ]
+
 let ref_for table pct =
   match List.assoc_opt pct table with Some s -> s | None -> "-"
 
-let fig4 speed =
-  heading "Figure 4: minimum disk space (blocks) vs transaction mix";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("% 10s tx", Table.Right);
-          ("FW paper", Table.Right);
-          ("FW measured", Table.Right);
-          ("EL paper", Table.Right);
-          ("EL measured", Table.Right);
-          ("EL split", Table.Left);
-          ("ratio", Table.Right);
-        ]
-  in
-  List.iter
-    (fun (r : Paper.mix_row) ->
-      Table.add_row t
-        [
-          string_of_int r.long_pct;
-          ref_for paper_fig4_fw r.long_pct;
-          string_of_int r.fw_blocks;
-          ref_for paper_fig4_el r.long_pct;
-          string_of_int r.el_blocks;
-          (match r.el_sizes with
-          | [| a; b |] -> Printf.sprintf "%d+%d" a b
-          | _ -> "-");
-          fmt_f (float_of_int r.fw_blocks /. float_of_int r.el_blocks);
-        ])
-    (get_mix_rows speed);
-  Table.print t;
-  print_newline ();
-  print_endline
-    "Paper's shape: EL needs a fraction of FW's space; the advantage is\n\
-     largest at 5% long transactions (factor 3.6) and narrows as the\n\
-     long fraction grows."
+let mix_pct (r : Paper.mix_row) =
+  col ~key:"long_pct" "% 10s tx" (int r.long_pct)
 
-let fig5 speed =
-  heading "Figure 5: log disk bandwidth (block writes/s) vs transaction mix";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("% 10s tx", Table.Right);
-          ("FW paper", Table.Right);
-          ("FW measured", Table.Right);
-          ("EL paper", Table.Right);
-          ("EL measured", Table.Right);
-          ("EL overhead", Table.Right);
-        ]
-  in
-  List.iter
-    (fun (r : Paper.mix_row) ->
-      Table.add_row t
-        [
-          string_of_int r.long_pct;
-          ref_for paper_fig5_fw r.long_pct;
-          fmt_f r.fw_bandwidth;
-          ref_for paper_fig5_el r.long_pct;
-          fmt_f r.el_bandwidth;
-          Printf.sprintf "%.1f%%"
-            ((r.el_bandwidth -. r.fw_bandwidth) /. r.fw_bandwidth *. 100.0);
-        ])
-    (get_mix_rows speed);
-  Table.print t;
-  print_newline ();
-  print_endline
-    "Paper's shape: EL writes slightly more than FW (11% at the 5% mix),\n\
-     and the overhead grows with the fraction of long transactions."
+let fig4_cols (r : Paper.mix_row) =
+  [
+    mix_pct r;
+    col ~paper:(ref_for paper_fig4_fw r.long_pct) ~key:"fw_blocks"
+      "FW measured" (int r.fw_blocks);
+    col ~paper:(ref_for paper_fig4_el r.long_pct) ~key:"el_blocks"
+      "EL measured" (int r.el_blocks);
+    col ~key:"el_sizes" "EL split" (sizes r.el_sizes);
+    col "ratio" (num (float_of_int r.fw_blocks /. float_of_int r.el_blocks));
+  ]
 
-let fig6 speed =
-  heading "Figure 6: main-memory requirements (bytes) vs transaction mix";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("% 10s tx", Table.Right);
-          ("FW measured", Table.Right);
-          ("EL measured", Table.Right);
-          ("EL/FW", Table.Right);
-        ]
-  in
-  List.iter
-    (fun (r : Paper.mix_row) ->
-      Table.add_row t
-        [
-          string_of_int r.long_pct;
-          string_of_int r.fw_memory;
-          string_of_int r.el_memory;
-          fmt_f (float_of_int r.el_memory /. float_of_int r.fw_memory);
-        ])
-    (get_mix_rows speed);
-  Table.print t;
-  print_newline ();
-  print_endline
-    "Paper's shape: both are small (no numbers are given in the text; the\n\
-     figure shows EL a small multiple of FW -- 'memory requirements are\n\
-     modest'; FW pays 22 B/tx, EL 40 B/tx + 40 B/unflushed object)."
+let fig5_cols (r : Paper.mix_row) =
+  [
+    mix_pct r;
+    col ~paper:(ref_for paper_fig5_fw r.long_pct) ~key:"fw_bandwidth"
+      "FW measured" (num r.fw_bandwidth);
+    col ~paper:(ref_for paper_fig5_el r.long_pct) ~key:"el_bandwidth"
+      "EL measured" (num r.el_bandwidth);
+    col "EL overhead"
+      (num ~digits:1 ~suffix:"%"
+         ((r.el_bandwidth -. r.fw_bandwidth) /. r.fw_bandwidth *. 100.0));
+  ]
+
+let fig6_cols (r : Paper.mix_row) =
+  [
+    mix_pct r;
+    col ~key:"fw_memory" "FW measured" (int r.fw_memory);
+    col ~key:"el_memory" "EL measured" (int r.el_memory);
+    col "EL/FW" (num (float_of_int r.el_memory /. float_of_int r.fw_memory));
+  ]
+
+let rates_cols (r : Paper.mix_row) =
+  [
+    mix_pct r;
+    col ~paper:(ref_for paper_rates r.long_pct) ~key:"updates_per_sec"
+      "measured (upd/s)" (num ~digits:0 r.updates_per_sec);
+  ]
+
+(* Shared runs behind Figures 4, 5 and 6: computed once on demand,
+   recorded as one "mix_sweep" section holding every figure's keys. *)
+let mix_rows : (Paper.speed, Paper.mix_row list) Hashtbl.t = Hashtbl.create 2
+
+let get_mix_rows speed =
+  match Hashtbl.find_opt mix_rows speed with
+  | Some rows -> rows
+  | None ->
+    Printf.printf
+      "(running the Fig. 4/5/6 minimum-space sweeps; this is the expensive \
+       part)\n%!";
+    let rows, alloc =
+      with_alloc (fun () -> Paper.figs_4_5_6 ~pool:!pool ~speed ())
+    in
+    Hashtbl.replace mix_rows speed rows;
+    let all_cols r =
+      List.concat_map (fun cols -> cols r)
+        [ fig4_cols; fig5_cols; fig6_cols; rates_cols ]
+    in
+    add_section "mix_sweep"
+      (J.Obj
+         [
+           ("rows", J.List (List.map (fun r -> obj (all_cols r)) rows));
+           ("alloc", alloc);
+         ]);
+    rows
+
+let mix_figure ?note cols speed =
+  ignore (table (List.map cols (get_mix_rows speed)));
+  Option.iter
+    (fun note ->
+      print_newline ();
+      print_endline note)
+    note
+
+let fig4 =
+  mix_figure fig4_cols
+    ~note:
+      "Paper's shape: EL needs a fraction of FW's space; the advantage is\n\
+       largest at 5% long transactions (factor 3.6) and narrows as the\n\
+       long fraction grows."
+
+let fig5 =
+  mix_figure fig5_cols
+    ~note:
+      "Paper's shape: EL writes slightly more than FW (11% at the 5% mix),\n\
+       and the overhead grows with the fraction of long transactions."
+
+let fig6 =
+  mix_figure fig6_cols
+    ~note:
+      "Paper's shape: both are small (no numbers are given in the text; the\n\
+       figure shows EL a small multiple of FW -- 'memory requirements are\n\
+       modest'; FW pays 22 B/tx, EL 40 B/tx + 40 B/unflushed object)."
+
+let rates = mix_figure rates_cols
+
+(* ---- Figure 7 and the headline ---- *)
+
+let fig7_cols (row : Paper.fig7_row) =
+  [
+    col ~key:"g1" "gen1 blocks" (int row.g1);
+    col ~key:"total_blocks" "total blocks" (int row.total_blocks);
+    col ~key:"bw_last" "bw gen1 (w/s)" (num row.bw_last);
+    col ~key:"bw_total" "bw total (w/s)" (num row.bw_total);
+    col ~key:"feasible" "feasible" (flag ~no:"no (kills)" row.feasible);
+  ]
 
 let fig7_cache : (Paper.speed, Paper.fig7_result) Hashtbl.t = Hashtbl.create 2
 
@@ -243,187 +328,76 @@ let get_fig7 speed =
            ("alloc", alloc);
            ("g0", J.Int r.g0);
            ("no_recirc_sizes", j_ints r.no_recirc_sizes);
-           ( "rows",
-             J.List
-               (List.map
-                  (fun (row : Paper.fig7_row) ->
-                    J.Obj
-                      [
-                        ("g1", J.Int row.g1);
-                        ("total_blocks", J.Int row.total_blocks);
-                        ("bw_last", J.Float row.bw_last);
-                        ("bw_total", J.Float row.bw_total);
-                        ("feasible", J.Bool row.feasible);
-                      ])
-                  r.rows) );
+           ("rows", J.List (List.map (fun row -> obj (fig7_cols row)) r.rows));
          ]);
     r
 
 let fig7 speed =
-  heading
-    "Figure 7: EL bandwidth vs disk space (recirculation on, 5% mix, gen 0 \
-     fixed)";
   let result = get_fig7 speed in
   Printf.printf
     "no-recirculation starting point: %s blocks (gen0=%d fixed below)\n\n"
-    (String.concat "+"
-       (Array.to_list (Array.map string_of_int result.no_recirc_sizes)))
-    result.g0;
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("gen1 blocks", Table.Right);
-          ("total blocks", Table.Right);
-          ("bw gen1 (w/s)", Table.Right);
-          ("bw total (w/s)", Table.Right);
-          ("feasible", Table.Left);
-        ]
-  in
-  List.iter
-    (fun (row : Paper.fig7_row) ->
-      Table.add_row t
-        [
-          string_of_int row.g1;
-          string_of_int row.total_blocks;
-          fmt_f row.bw_last;
-          fmt_f row.bw_total;
-          (if row.feasible then "yes" else "no (kills)");
-        ])
-    result.rows;
-  Table.print t;
+    (plus result.no_recirc_sizes) result.g0;
+  ignore (table (List.map fig7_cols result.rows));
   print_newline ();
   print_endline
     "Paper's anchors: space falls 34 -> 28 blocks while total bandwidth\n\
      rises only 12.87 -> 12.99 writes/s; shrinking further kills\n\
-     transactions.";
-  result
+     transactions."
 
 let headline speed =
-  heading "In-text headline (5% mix): EL with recirculation vs FW";
   let h, alloc =
     with_alloc (fun () ->
         Paper.headline ~pool:!pool ~speed ~fig7_result:(get_fig7 speed) ())
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("metric", Table.Left); ("paper", Table.Right); ("measured", Table.Right);
-        ]
+  let fields =
+    metrics
+      [
+        col ~paper:"123" ~key:"fw_blocks" "FW disk space (blocks)"
+          (int h.fw_blocks);
+        col ~paper:"11.63" ~key:"fw_bandwidth" "FW bandwidth (w/s)"
+          (num h.fw_bandwidth);
+        col ~paper:"28" ~key:"el_blocks" "EL disk space (blocks)"
+          (int h.el_blocks);
+        col ~paper:"18+10" ~key:"el_sizes" "EL split" (sizes h.el_sizes);
+        col ~paper:"12.99" ~key:"el_bandwidth" "EL bandwidth (w/s)"
+          (num h.el_bandwidth);
+        col ~paper:"4.4" ~key:"space_ratio" "space reduction factor"
+          (num h.space_ratio);
+        col ~paper:"12%" ~key:"bandwidth_increase_pct" "bandwidth increase"
+          (num ~digits:1 ~suffix:"%" h.bandwidth_increase_pct);
+      ]
   in
-  Table.add_row t [ "FW disk space (blocks)"; "123"; string_of_int h.fw_blocks ];
-  Table.add_row t [ "FW bandwidth (w/s)"; "11.63"; fmt_f h.fw_bandwidth ];
-  Table.add_row t [ "EL disk space (blocks)"; "28"; string_of_int h.el_blocks ];
-  Table.add_row t
-    [
-      "EL split";
-      "18+10";
-      (match h.el_sizes with
-      | [| a; b |] -> Printf.sprintf "%d+%d" a b
-      | _ -> "-");
-    ];
-  Table.add_row t [ "EL bandwidth (w/s)"; "12.99"; fmt_f h.el_bandwidth ];
-  Table.add_row t [ "space reduction factor"; "4.4"; fmt_f h.space_ratio ];
-  Table.add_row t
-    [
-      "bandwidth increase";
-      "12%";
-      Printf.sprintf "%.1f%%" h.bandwidth_increase_pct;
-    ];
-  Table.print t;
-  add_section "headline"
-    (J.Obj
-       [
-         ("fw_blocks", J.Int h.fw_blocks);
-         ("fw_bandwidth", J.Float h.fw_bandwidth);
-         ("el_blocks", J.Int h.el_blocks);
-         ("el_sizes", j_ints h.el_sizes);
-         ("el_bandwidth", J.Float h.el_bandwidth);
-         ("space_ratio", J.Float h.space_ratio);
-         ("bandwidth_increase_pct", J.Float h.bandwidth_increase_pct);
-         ("alloc", alloc);
-       ])
+  add_section "headline" (J.Obj (fields @ [ ("alloc", alloc) ]))
 
 let scarce speed =
-  heading "In-text: scarce flushing bandwidth (10 drives x 45 ms = 222/s)";
   let s, alloc = with_alloc (fun () -> Paper.scarce_flush ~pool:!pool ~speed ()) in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("metric", Table.Left); ("paper", Table.Right); ("measured", Table.Right);
-        ]
+  let fields =
+    metrics
+      [
+        col ~paper:"31" ~key:"total_blocks" "EL disk space (blocks)"
+          (int s.total_blocks);
+        col ~paper:"20+11" ~key:"el_sizes" "EL split" (sizes s.el_sizes);
+        col ~paper:"13.96" ~key:"bandwidth" "log bandwidth (w/s)"
+          (num s.bandwidth);
+        col ~paper:"109,000" ~key:"mean_flush_distance"
+          "mean flush oid distance" (num ~digits:0 s.mean_flush_distance);
+        col ~paper:"235,000" ~key:"baseline_mean_flush_distance"
+          "same, 25 ms baseline" (num ~digits:0 s.baseline_mean_flush_distance);
+        col ~key:"flush_backlog_peak" "peak flush backlog"
+          (int s.flush_backlog_peak);
+      ]
   in
-  Table.add_row t
-    [ "EL disk space (blocks)"; "31"; string_of_int s.total_blocks ];
-  Table.add_row t
-    [
-      "EL split";
-      "20+11";
-      (match s.el_sizes with
-      | [| a; b |] -> Printf.sprintf "%d+%d" a b
-      | _ -> "-");
-    ];
-  Table.add_row t [ "log bandwidth (w/s)"; "13.96"; fmt_f s.bandwidth ];
-  Table.add_row t
-    [ "mean flush oid distance"; "109,000"; fmt_f0 s.mean_flush_distance ];
-  Table.add_row t
-    [
-      "same, 25 ms baseline";
-      "235,000";
-      fmt_f0 s.baseline_mean_flush_distance;
-    ];
-  Table.add_row t
-    [ "peak flush backlog"; "-"; string_of_int s.flush_backlog_peak ];
-  Table.print t;
   print_newline ();
   print_endline
     "Paper's shape: as the flush service rate approaches the update rate a\n\
      backlog accumulates, flush scheduling finds closer objects (smaller\n\
      mean oid distance = better locality), and EL absorbs it with a few\n\
      extra blocks -- the negative-feedback stability argument.";
-  add_section "scarce"
-    (J.Obj
-       [
-         ("el_sizes", j_ints s.el_sizes);
-         ("total_blocks", J.Int s.total_blocks);
-         ("bandwidth", J.Float s.bandwidth);
-         ("mean_flush_distance", J.Float s.mean_flush_distance);
-         ( "baseline_mean_flush_distance",
-           J.Float s.baseline_mean_flush_distance );
-         ("flush_backlog_peak", J.Int s.flush_backlog_peak);
-         ("alloc", alloc);
-       ]);
-  s
+  add_section "scarce" (J.Obj (fields @ [ ("alloc", alloc) ]))
 
-let rates speed =
-  heading "In-text: database update rate vs transaction mix";
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("% 10s tx", Table.Right);
-          ("paper (upd/s)", Table.Right);
-          ("measured (upd/s)", Table.Right);
-        ]
-  in
-  let paper_rate =
-    [ (5, "210"); (10, "220"); (20, "240"); (30, "260"); (40, "280") ]
-  in
-  List.iter
-    (fun (r : Paper.mix_row) ->
-      Table.add_row t
-        [
-          string_of_int r.long_pct;
-          ref_for paper_rate r.long_pct;
-          fmt_f0 r.updates_per_sec;
-        ])
-    (get_mix_rows speed);
-  Table.print t
+(* ---- beyond the paper ---- *)
 
 let recovery_bench speed =
-  heading "Recovery (beyond the paper: it argues small log => fast recovery)";
   let runtime =
     match speed with `Full -> Time.of_sec 120 | `Quick -> Time.of_sec 60
   in
@@ -438,41 +412,34 @@ let recovery_bench speed =
   let (result, recovery, audit), alloc =
     with_alloc (fun () -> Experiment.run_with_crash cfg ~crash_at)
   in
-  let t =
-    Table.create ~columns:[ ("metric", Table.Left); ("value", Table.Right) ]
-  in
-  Table.add_row t
-    [ "log blocks configured"; string_of_int result.Experiment.total_blocks ];
-  Table.add_row t
-    [
-      "records scanned at crash";
-      string_of_int recovery.El_recovery.Recovery.records_scanned;
-    ];
-  Table.add_row t
-    [ "redo applied"; string_of_int recovery.El_recovery.Recovery.redo_applied ];
-  Table.add_row t
-    [
-      "committed txs in log";
-      string_of_int (List.length recovery.El_recovery.Recovery.committed_tids);
-    ];
-  Table.add_row t
-    [
-      "audit";
-      (if audit.El_recovery.Recovery.ok then "OK (atomic & durable)"
-       else "FAILED");
-    ];
-  Table.print t;
+  let module R = El_recovery.Recovery in
   (* recovery-time estimates under the conservative early-90s cost
      model (15 ms positioning, 1 ms/block, 20 us/record) *)
   let el_time =
     El_recovery.Timing.single_pass ~regions:2
-      ~blocks:result.Experiment.total_blocks
-      ~records:recovery.El_recovery.Recovery.records_scanned ()
+      ~blocks:result.Experiment.total_blocks ~records:recovery.R.records_scanned
+      ()
   in
   let fw_time =
     (* the paper's FW at this mix needs ~123 blocks and two passes *)
     El_recovery.Timing.fw_two_pass ~blocks:123
       ~records:(123 * 2000 / 110) ()
+  in
+  let fields =
+    metrics
+      [
+        col ~key:"log_blocks" "log blocks configured"
+          (int result.Experiment.total_blocks);
+        col ~key:"records_scanned" "records scanned at crash"
+          (int recovery.R.records_scanned);
+        col ~key:"redo_applied" "redo applied" (int recovery.R.redo_applied);
+        col ~key:"committed_txs" "committed txs in log"
+          (int (List.length recovery.R.committed_tids));
+        col ~key:"audit_ok" "audit"
+          (flag ~yes:"OK (atomic & durable)" ~no:"FAILED" audit.R.ok);
+        json "el_restart_s" (num (Time.to_sec_f el_time));
+        json "fw_restart_s" (num (Time.to_sec_f fw_time));
+      ]
   in
   Format.printf
     "@.estimated restart time: EL single pass over %d blocks = %a;@ the \
@@ -480,20 +447,7 @@ let recovery_bench speed =
      in less than a second may be feasible' (Sec. 4) holds.@."
     result.Experiment.total_blocks El_recovery.Timing.pp el_time
     El_recovery.Timing.pp fw_time;
-  add_section "recovery"
-    (J.Obj
-       [
-         ("log_blocks", J.Int result.Experiment.total_blocks);
-         ( "records_scanned",
-           J.Int recovery.El_recovery.Recovery.records_scanned );
-         ("redo_applied", J.Int recovery.El_recovery.Recovery.redo_applied);
-         ( "committed_txs",
-           J.Int (List.length recovery.El_recovery.Recovery.committed_tids) );
-         ("audit_ok", J.Bool audit.El_recovery.Recovery.ok);
-         ("el_restart_s", J.Float (Time.to_sec_f el_time));
-         ("fw_restart_s", J.Float (Time.to_sec_f fw_time));
-         ("alloc", alloc);
-       ])
+  add_section "recovery" (J.Obj (fields @ [ ("alloc", alloc) ]))
 
 (* The same crash/recover run as [recovery], but on the real-bytes
    path: once per store backend, with the store replay cross-checked
@@ -501,7 +455,6 @@ let recovery_bench speed =
    contract costs (pwrites, fsync barriers, bytes) and the wall-clock
    spread between mem and file. *)
 let store_bench speed =
-  heading "Durable store: mem vs file backends on the real-bytes path";
   let runtime =
     match speed with `Full -> Time.of_sec 60 | `Quick -> Time.of_sec 15
   in
@@ -532,57 +485,40 @@ let store_bench speed =
     in
     (result, sim, audit, wall, agrees)
   in
-  let with_image_dir f =
-    let dir = Filename.temp_file "el-bench-store" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun x ->
-            try Sys.remove (Filename.concat dir x) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Unix.rmdir dir with Unix.Unix_error _ -> ())
-      (fun () -> f dir)
-  in
+  (* Each file run writes a fresh temp image that disposing the run
+     removes, so the system temp directory needs no cleanup. *)
+  let dir = Filename.get_temp_dir_name () in
   let runs, alloc =
     with_alloc (fun () ->
-        with_image_dir (fun dir ->
-            [
-              ("mem", run_backend Experiment.Mem_store);
-              ("file", run_backend (Experiment.File_store dir));
-              ( "file+group",
-                run_backend ~group_fsync:true (Experiment.File_store dir) );
-            ]))
-  in
-  let t =
-    Table.create
-      ~columns:
         [
-          ("backend", Table.Left);
-          ("pwrites", Table.Right);
-          ("fsyncs", Table.Right);
-          ("MB written", Table.Right);
-          ("wall s", Table.Right);
-          ("replay agrees", Table.Left);
-          ("audit", Table.Left);
-        ]
-  in
-  List.iter
-    (fun (name, (result, _sim, audit, wall, agrees)) ->
-      Table.add_row t
-        [
-          name;
-          string_of_int result.Experiment.store_pwrites;
-          string_of_int result.Experiment.store_barriers;
-          fmt_f
-            (float_of_int result.Experiment.store_bytes_written /. 1048576.);
-          fmt_f wall;
-          (if agrees then "yes" else "DIVERGES");
-          (if audit.El_recovery.Recovery.ok then "OK" else "FAILED");
+          ("mem", run_backend Experiment.Mem_store);
+          ("file", run_backend (Experiment.File_store dir));
+          ( "file+group",
+            run_backend ~group_fsync:true (Experiment.File_store dir) );
         ])
-    runs;
-  Table.print t;
+  in
+  let backend_objs =
+    table
+      (List.map
+         (fun (name, ((r : Experiment.result), sim, audit, wall, agrees)) ->
+           [
+             col "backend" (text name);
+             col ~key:"pwrites" "pwrites" (int r.store_pwrites);
+             col ~key:"barriers" "fsyncs" (int r.store_barriers);
+             json "group_syncs" (int r.store_group_syncs);
+             json "bytes_written" (int r.store_bytes_written);
+             col "MB written"
+               (num (float_of_int r.store_bytes_written /. 1048576.));
+             col ~key:"wall_s" "wall s" (num wall);
+             col ~key:"replay_agrees" "replay agrees"
+               (flag ~no:"DIVERGES" agrees);
+             col ~key:"audit_ok" "audit"
+               (flag ~yes:"OK" ~no:"FAILED" audit.El_recovery.Recovery.ok);
+             json "committed_txs"
+               (int (List.length sim.El_recovery.Recovery.committed_tids));
+           ])
+         runs)
+  in
   let backends_identical =
     match runs with
     | (_, (_, sim0, _, _, _)) :: rest ->
@@ -592,25 +528,20 @@ let store_bench speed =
   Format.printf
     "@.mem and file recover %s state; every ack came after pwrite+fsync.@."
     (if backends_identical then "identical" else "DIFFERENT (bug!)");
-  let barriers name =
-    match List.assoc_opt name runs with
-    | Some ((result : Experiment.result), _, _, _, _) ->
-      result.Experiment.store_barriers
-    | None -> 0
+  let result name =
+    let r, _, _, _, _ = List.assoc name runs in
+    r
   in
-  let group_syncs =
-    match List.assoc_opt "file+group" runs with
-    | Some ((result : Experiment.result), _, _, _, _) ->
-      result.Experiment.store_group_syncs
-    | None -> 0
+  let immediate_barriers = (result "file").Experiment.store_barriers in
+  let grouped_barriers = (result "file+group").Experiment.store_barriers in
+  let group_syncs = (result "file+group").Experiment.store_group_syncs in
+  let reduction =
+    float_of_int immediate_barriers /. float_of_int (max 1 grouped_barriers)
   in
-  let immediate_barriers = barriers "file" in
-  let grouped_barriers = barriers "file+group" in
   Printf.printf
     "group fsync: %d barriers (per-segment) -> %d (%d grouped waves), \
      %.1fx fewer\n"
-    immediate_barriers grouped_barriers group_syncs
-    (float_of_int immediate_barriers /. float_of_int (max 1 grouped_barriers));
+    immediate_barriers grouped_barriers group_syncs reduction;
   add_section "store"
     (J.Obj
        (("backend", J.String "mem+file")
@@ -621,34 +552,10 @@ let store_bench speed =
                 ("immediate_barriers", J.Int immediate_barriers);
                 ("grouped_barriers", J.Int grouped_barriers);
                 ("group_syncs", J.Int group_syncs);
-                ( "barrier_reduction",
-                  J.Float
-                    (float_of_int immediate_barriers
-                    /. float_of_int (max 1 grouped_barriers)) );
+                ("barrier_reduction", J.Float reduction);
               ] )
        :: ("alloc", alloc)
-       :: List.concat_map
-            (fun (name, (result, sim, audit, wall, agrees)) ->
-              [
-                ( name,
-                  J.Obj
-                    [
-                      ("pwrites", J.Int result.Experiment.store_pwrites);
-                      ("barriers", J.Int result.Experiment.store_barriers);
-                      ( "group_syncs",
-                        J.Int result.Experiment.store_group_syncs );
-                      ( "bytes_written",
-                        J.Int result.Experiment.store_bytes_written );
-                      ("wall_s", J.Float wall);
-                      ("replay_agrees", J.Bool agrees);
-                      ("audit_ok", J.Bool audit.El_recovery.Recovery.ok);
-                      ( "committed_txs",
-                        J.Int
-                          (List.length sim.El_recovery.Recovery.committed_tids)
-                      );
-                    ] );
-              ])
-            runs))
+       :: List.map2 (fun (name, _) o -> (name, o)) runs backend_objs))
 
 (* One EL run per workload preset (beyond the paper: its evaluation
    only drives the polite two-type mix).  The geometry is the standard
@@ -657,67 +564,41 @@ let store_bench speed =
    skew, kills and evictions under bursts and long tails — rather
    than whether a fixed log survives it. *)
 let workloads_bench speed =
-  heading "Adversarial workload presets (EL, standard check geometry)";
   let runtime =
     match speed with `Full -> Time.of_sec 240 | `Quick -> Time.of_sec 60
   in
   let kind = List.assoc "el" (El_check.Sweep.standard_kinds ()) in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("scenario", Table.Left);
-          ("blocks", Table.Right);
-          ("committed", Table.Right);
-          ("killed", Table.Right);
-          ("c-aborts", Table.Right);
-          ("retries", Table.Right);
-          ("evictions", Table.Right);
-          ("log w/s", Table.Right);
-          ("lat ms", Table.Right);
-        ]
-  in
-  let rows, alloc =
+  let runs, alloc =
     with_alloc (fun () ->
-    List.map
-      (fun (p : El_workload.Workload_preset.t) ->
-        let cfg =
-          El_check.Sweep.standard_config ~kind ~runtime ~preset:p ()
-        in
-        let r = Experiment.run cfg in
-        Table.add_row t
-          [
-            p.El_workload.Workload_preset.name;
-            string_of_int r.Experiment.total_blocks;
-            string_of_int r.Experiment.committed;
-            string_of_int r.Experiment.killed;
-            string_of_int r.Experiment.contention_aborts;
-            string_of_int r.Experiment.contention_retries;
-            string_of_int r.Experiment.evictions;
-            fmt_f r.Experiment.log_write_rate;
-            Printf.sprintf "%.1f" (r.Experiment.commit_latency_mean *. 1e3);
-          ];
-        J.Obj
-          [
-            ("name", J.String p.El_workload.Workload_preset.name);
-            ("blocks", J.Int r.Experiment.total_blocks);
-            ("committed", J.Int r.Experiment.committed);
-            ("killed", J.Int r.Experiment.killed);
-            ("contention_aborts", J.Int r.Experiment.contention_aborts);
-            ("contention_retries", J.Int r.Experiment.contention_retries);
-            ("evictions", J.Int r.Experiment.evictions);
-            ("log_write_rate", J.Float r.Experiment.log_write_rate);
-            ( "commit_latency_ms",
-              J.Float (r.Experiment.commit_latency_mean *. 1e3) );
-            ("feasible", J.Bool r.Experiment.feasible);
-          ])
-      El_workload.Workload_preset.all)
+        List.map
+          (fun (p : El_workload.Workload_preset.t) ->
+            ( p.El_workload.Workload_preset.name,
+              Experiment.run
+                (El_check.Sweep.standard_config ~kind ~runtime ~preset:p ()) ))
+          El_workload.Workload_preset.all)
   in
-  Table.print t;
+  let rows =
+    table
+      (List.map
+         (fun (name, (r : Experiment.result)) ->
+           [
+             col ~key:"name" "scenario" (text name);
+             col ~key:"blocks" "blocks" (int r.total_blocks);
+             col ~key:"committed" "committed" (int r.committed);
+             col ~key:"killed" "killed" (int r.killed);
+             col ~key:"contention_aborts" "c-aborts" (int r.contention_aborts);
+             col ~key:"contention_retries" "retries" (int r.contention_retries);
+             col ~key:"evictions" "evictions" (int r.evictions);
+             col ~key:"log_write_rate" "log w/s" (num r.log_write_rate);
+             col ~key:"commit_latency_ms" "lat ms"
+               (num ~digits:1 (r.commit_latency_mean *. 1e3));
+             json "feasible" (flag r.feasible);
+           ])
+         runs)
+  in
   add_section "workloads" (J.Obj [ ("rows", J.List rows); ("alloc", alloc) ])
 
 let ablation speed =
-  heading "Ablations of EL design choices (5% mix, 18+12 blocks)";
   let base kind = Paper.base_config ~speed ~kind ~long_pct:5 () in
   let run_policy policy = Experiment.run (base (Experiment.Ephemeral policy)) in
   let sizes = [| 18; 12 |] in
@@ -736,34 +617,9 @@ let ablation speed =
         { default with Policy.group_commit_timeout = Some (Time.of_ms 1) } );
     ]
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("variant", Table.Left);
-          ("bw (w/s)", Table.Right);
-          ("kills", Table.Right);
-          ("forced flushes", Table.Right);
-          ("fwd recs", Table.Right);
-          ("recirc recs", Table.Right);
-          ("mem (B)", Table.Right);
-          ("latency (ms)", Table.Right);
-        ]
+  let variant_runs =
+    List.map (fun (name, policy) -> (name, run_policy policy)) variants
   in
-  let row name (r : Experiment.result) =
-    Table.add_row t
-      [
-        name;
-        fmt_f r.Experiment.log_write_rate;
-        string_of_int r.Experiment.killed;
-        string_of_int r.Experiment.forced_flushes;
-        string_of_int r.Experiment.forwarded_records;
-        string_of_int r.Experiment.recirculated_records;
-        string_of_int r.Experiment.peak_memory_bytes;
-        fmt_f (r.Experiment.commit_latency_mean *. 1000.0);
-      ]
-  in
-  List.iter (fun (name, policy) -> row name (run_policy policy)) variants;
   (* flush-scheduling ablation: FIFO instead of nearest-oid *)
   let fifo =
     Experiment.run
@@ -780,9 +636,25 @@ let ablation speed =
         Experiment.flush_transfer = El_model.Time.of_ms 45;
       }
   in
-  row "45ms flushes, nearest-oid" nearest;
-  row "45ms flushes, FIFO (ablation)" fifo;
-  Table.print t;
+  ignore
+    (table
+       (List.map
+          (fun (name, (r : Experiment.result)) ->
+            [
+              col "variant" (text name);
+              col "bw (w/s)" (num r.log_write_rate);
+              col "kills" (int r.killed);
+              col "forced flushes" (int r.forced_flushes);
+              col "fwd recs" (int r.forwarded_records);
+              col "recirc recs" (int r.recirculated_records);
+              col "mem (B)" (int r.peak_memory_bytes);
+              col "latency (ms)" (num (r.commit_latency_mean *. 1000.0));
+            ])
+          (variant_runs
+          @ [
+              ("45ms flushes, nearest-oid", nearest);
+              ("45ms flushes, FIFO (ablation)", fifo);
+            ])));
   print_newline ();
   Printf.printf
     "flush locality under scarcity: nearest-oid scheduling drops the mean \n\
@@ -790,34 +662,22 @@ let ablation speed =
      behind the paper's locality feedback (Sec. 4).\n"
     nearest.Experiment.flush_mean_distance fifo.Experiment.flush_mean_distance
 
-
 let gens_sweep speed =
-  heading
-    "Beyond the paper: minimum disk space vs number of generations (5% mix)";
   let rows, alloc =
     with_alloc (fun () -> Paper.generation_count_sweep ~pool:!pool ~speed ())
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("generations", Table.Right);
-          ("best sizes", Table.Left);
-          ("total blocks", Table.Right);
-          ("bw (w/s)", Table.Right);
-        ]
+  let rows =
+    table
+      (List.map
+         (fun (r : Paper.gens_row) ->
+           [
+             col ~key:"generations" "generations" (int r.generations);
+             col ~key:"sizes" "best sizes" (sizes r.sizes);
+             col ~key:"total" "total blocks" (int r.total);
+             col ~key:"bandwidth" "bw (w/s)" (num r.bandwidth);
+           ])
+         rows)
   in
-  List.iter
-    (fun (r : Paper.gens_row) ->
-      Table.add_row t
-        [
-          string_of_int r.generations;
-          String.concat "+" (Array.to_list (Array.map string_of_int r.sizes));
-          string_of_int r.total;
-          fmt_f r.bandwidth;
-        ])
-    rows;
-  Table.print t;
   print_newline ();
   print_endline
     "Chain length is a space/bandwidth dial: a single ring can be squeezed\n\
@@ -826,26 +686,9 @@ let gens_sweep speed =
      Sec. 6's point that the optimal number and sizes are\n\
      application-dependent.";
   add_section "generation_sweep"
-    (J.Obj
-       [
-         ( "rows",
-           J.List
-             (List.map
-                (fun (r : Paper.gens_row) ->
-                  J.Obj
-                    [
-                      ("generations", J.Int r.generations);
-                      ("sizes", j_ints r.sizes);
-                      ("total", J.Int r.total);
-                      ("bandwidth", J.Float r.bandwidth);
-                    ])
-                rows) );
-         ("alloc", alloc);
-       ])
+    (J.Obj [ ("rows", J.List rows); ("alloc", alloc) ])
 
 let adaptive_bench speed =
-  heading
-    "Beyond the paper: adaptive generation sizing (the Sec. 6 wish)";
   let cfg =
     {
       (Paper.base_config ~speed ~kind:(Experiment.Firewall 1) ~long_pct:5 ()) with
@@ -861,41 +704,35 @@ let adaptive_bench speed =
   let outcome =
     El_harness.Adaptive.tune cfg ~initial:[| 30; 60 |] ~bandwidth_slack:1.25 ()
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("epoch", Table.Right);
-          ("sizes tried", Table.Left);
-          ("healthy", Table.Left);
-          ("bw (w/s)", Table.Right);
-        ]
-  in
-  List.iter
-    (fun (s : El_harness.Adaptive.step) ->
-      Table.add_row t
-        [
-          string_of_int s.epoch;
-          String.concat "+" (Array.to_list (Array.map string_of_int s.sizes));
-          (if s.healthy then "yes"
-           else if not s.feasible then Printf.sprintf "no (%d kills)" s.killed
-           else "no (bandwidth budget)");
-          fmt_f s.bandwidth;
-        ])
-    outcome.El_harness.Adaptive.trajectory;
-  Table.print t;
+  ignore
+    (table
+       (List.map
+          (fun (s : El_harness.Adaptive.step) ->
+            [
+              col "epoch" (int s.epoch);
+              col "sizes tried" (sizes s.sizes);
+              col "healthy"
+                (text
+                   (if s.healthy then "yes"
+                    else if not s.feasible then
+                      Printf.sprintf "no (%d kills)" s.killed
+                    else "no (bandwidth budget)"));
+              col "bw (w/s)" (num s.bandwidth);
+            ])
+          outcome.El_harness.Adaptive.trajectory));
   Printf.printf
     "\nconverged to %s blocks in %d epochs with no workload model -- the\n\
      'adaptable version of EL that dynamically chooses the sizes itself'\n\
      that Sec. 6 asks for, realised as a shrink-until-pushback controller.\n"
-    (String.concat "+"
-       (Array.to_list
-          (Array.map string_of_int outcome.El_harness.Adaptive.final_sizes)))
+    (plus outcome.El_harness.Adaptive.final_sizes)
     outcome.El_harness.Adaptive.epochs_used
 
+let fw_peak (r : Experiment.result) =
+  match r.fw_stats with
+  | Some s -> s.El_core.Fw_manager.peak_occupancy
+  | None -> 0
+
 let checkpoint_bench speed =
-  heading
-    "Beyond the paper: what ignoring FW's checkpoints hides (5% mix)";
   let mix = El_workload.Mix.short_long ~long_fraction:0.05 in
   let runtime =
     match speed with
@@ -944,40 +781,28 @@ let checkpoint_bench speed =
     El_sim.Engine.run engine ~until:runtime;
     El_core.Fw_manager.stats fw
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("FW variant", Table.Left);
-          ("peak blocks", Table.Right);
-          ("log writes/s", Table.Right);
-          ("checkpoints", Table.Right);
-        ]
-  in
   let seconds = El_model.Time.to_sec_f runtime in
-  Table.add_row t
+  let row name peak rate checkpoints =
     [
-      "paper's ideal (none)";
-      string_of_int
-        (match ideal.Experiment.fw_stats with
-        | Some s -> s.El_core.Fw_manager.peak_occupancy
-        | None -> 0);
-      fmt_f ideal.Experiment.log_write_rate;
-      "0";
+      col "FW variant" (text name);
+      col "peak blocks" (int peak);
+      col "log writes/s" (num rate);
+      col "checkpoints" (int checkpoints);
     ]
-  ;
-  List.iter
-    (fun (interval_s, cost) ->
-      let s = run_ckpt interval_s cost in
-      Table.add_row t
-        [
-          Printf.sprintf "every %ds, %d blocks" interval_s cost;
-          string_of_int s.El_core.Fw_manager.peak_occupancy;
-          fmt_f (float_of_int s.El_core.Fw_manager.log_writes /. seconds);
-          string_of_int s.El_core.Fw_manager.checkpoints;
-        ])
-    [ (30, 4); (10, 4); (2, 4) ];
-  Table.print t;
+  in
+  ignore
+    (table
+       (row "paper's ideal (none)" (fw_peak ideal)
+          ideal.Experiment.log_write_rate 0
+       :: List.map
+            (fun (interval_s, cost) ->
+              let s = run_ckpt interval_s cost in
+              row
+                (Printf.sprintf "every %ds, %d blocks" interval_s cost)
+                s.El_core.Fw_manager.peak_occupancy
+                (float_of_int s.El_core.Fw_manager.log_writes /. seconds)
+                s.El_core.Fw_manager.checkpoints)
+            [ (30, 4); (10, 4); (2, 4) ]));
   print_newline ();
   print_endline
     "The paper notes its FW baseline omits checkpointing and that 'this\n\
@@ -986,7 +811,6 @@ let checkpoint_bench speed =
      while frequent ones inflate its bandwidth.  EL needs neither."
 
 let poisson_bench speed =
-  heading "Beyond the paper: deterministic vs Poisson arrivals (5% mix)";
   let mix = El_workload.Mix.short_long ~long_fraction:0.05 in
   let runtime =
     match speed with
@@ -1007,35 +831,22 @@ let poisson_bench speed =
         Experiment.Ephemeral (Policy.default ~generation_sizes:sizes);
     }
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("arrivals", Table.Left);
-          ("FW peak blocks", Table.Right);
-          ("EL 18+16 feasible", Table.Left);
-          ("EL kills", Table.Right);
-        ]
-  in
-  List.iter
-    (fun (name, process) ->
-      let fw = Experiment.run (cfg process) in
-      let el = Experiment.run (el_cfg process [| 18; 16 |]) in
-      Table.add_row t
-        [
-          name;
-          string_of_int
-            (match fw.Experiment.fw_stats with
-            | Some s -> s.El_core.Fw_manager.peak_occupancy
-            | None -> 0);
-          (if el.Experiment.feasible then "yes" else "no");
-          string_of_int el.Experiment.killed;
-        ])
-    [
-      ("deterministic (paper)", El_workload.Generator.Deterministic);
-      ("Poisson", El_workload.Generator.Poisson);
-    ];
-  Table.print t;
+  ignore
+    (table
+       (List.map
+          (fun (name, process) ->
+            let fw = Experiment.run (cfg process) in
+            let el = Experiment.run (el_cfg process [| 18; 16 |]) in
+            [
+              col "arrivals" (text name);
+              col "FW peak blocks" (int (fw_peak fw));
+              col "EL 18+16 feasible" (flag el.Experiment.feasible);
+              col "EL kills" (int el.Experiment.killed);
+            ])
+          [
+            ("deterministic (paper)", El_workload.Generator.Deterministic);
+            ("Poisson", El_workload.Generator.Poisson);
+          ]));
   print_newline ();
   print_endline
     "The paper calls its regular arrivals 'sufficient for a first order\n\
@@ -1051,8 +862,6 @@ let wall f =
   (r, Unix.gettimeofday () -. t0)
 
 let hotpath speed =
-  heading "Hot-path micro-benchmarks (flush dispatch, ledger indexes, appends)";
-  let gc0 = Gc.quick_stat () in
   let module F = El_disk.Flush_array in
   let module Engine = El_sim.Engine in
   let objects = 1_000_000 in
@@ -1084,40 +893,6 @@ let hotpath speed =
     | `Quick -> [ 1_000; 10_000 ]
     | `Full -> [ 1_000; 10_000; 50_000 ]
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("backlog", Table.Right);
-          ("Reference picks/s", Table.Right);
-          ("Indexed picks/s", Table.Right);
-          ("speedup", Table.Right);
-        ]
-  in
-  let dispatch_rows =
-    List.map
-      (fun b ->
-        let ref_rate, _ = drain F.Reference b in
-        let idx_rate, _ = drain F.Indexed b in
-        let speedup = idx_rate /. ref_rate in
-        Table.add_row t
-          [
-            string_of_int b;
-            fmt_f0 ref_rate;
-            fmt_f0 idx_rate;
-            fmt_f speedup ^ "x";
-          ];
-        J.Obj
-          [
-            ("backlog", J.Int b);
-            ("reference_picks_per_sec", J.Float ref_rate);
-            ("indexed_picks_per_sec", J.Float idx_rate);
-            ("speedup", J.Float speedup);
-          ])
-      backlogs
-  in
-  Table.print t;
-  print_newline ();
   (* 2. Ledger throughput with a large active window: every iteration
      consults oldest_active and live_cells, which the incremental
      indexes serve in O(1) instead of full LOT/LTT walks. *)
@@ -1169,11 +944,6 @@ let hotpath speed =
     let words_per_op = (Gc.minor_words () -. w0) /. float_of_int !ops in
     (float_of_int !ops /. secs, !ops, words_per_op)
   in
-  let ledger_rate, ledger_total, ledger_words = ledger_ops () in
-  Printf.printf
-    "ledger: %s ops/s (%d begin/write/commit/kill ops, 10k-tx active window, \
-     %.2f minor words/op)\n\n"
-    (fmt_f0 ledger_rate) ledger_total ledger_words;
   (* 3. Hybrid long-transaction appends: stub accumulation is O(1)
      amortised (prepend + lazy reverse) where it used to rebuild the
      whole list per record. *)
@@ -1209,31 +979,6 @@ let hotpath speed =
   (* single-shot appends are noisy on a loaded box; keep the best of a
      few repetitions, which is the machine's actual capability *)
   let append_reps = match speed with `Quick -> 2 | `Full -> 5 in
-  let append_rows =
-    List.map
-      (fun len ->
-        (* settle the major collector: the earlier bench stages leave
-           floating garbage whose incremental slices would otherwise be
-           charged to this loop's allocations *)
-        Gc.compact ();
-        let best = ref 0.0 and words = ref infinity in
-        for _ = 1 to append_reps do
-          let rate, w = hybrid_append len in
-          if rate > !best then best := rate;
-          if w < !words then words := w
-        done;
-        Printf.printf
-          "hybrid append: %6d-record tx  %12s records/s  %.2f minor words/record\n"
-          len (fmt_f0 !best) !words;
-        J.Obj
-          [
-            ("records", J.Int len);
-            ("records_per_sec", J.Float !best);
-            ("minor_words_per_record", J.Float !words);
-          ])
-      lengths
-  in
-  print_newline ();
   (* 4. Whole-simulation wall-clock on the scarce-flush scenario (the
      deepest backlog any paper figure builds), Reference vs Indexed,
      with a result-identity check: the elevator must change how fast
@@ -1250,8 +995,8 @@ let hotpath speed =
   in
   (* Wall-clock flips sign run-to-run under ±10-20% machine noise, so
      each implementation gets best-of-2 and the regression field below
-     carries a generous 1.25x tolerance; the allocation counts are the
-     tight, deterministic regression signal. *)
+     carries a generous 1.25x tolerance; the per-transaction
+     allocation counts are the tight regression signal. *)
   let run_scarce impl =
     let cfg = scarce_cfg impl in
     let w0 = Gc.minor_words () in
@@ -1263,55 +1008,95 @@ let hotpath speed =
   in
   let best_of impl =
     let r, secs0, words = run_scarce impl in
-    let best = ref secs0 in
     let _, secs1, _ = run_scarce impl in
-    if secs1 < !best then best := secs1;
-    (r, !best, words)
+    (r, Float.min secs0 secs1, words)
   in
-  let r_ref, ref_secs, ref_words = best_of El_disk.Flush_array.Reference in
-  let r_idx, idx_secs, idx_words = best_of El_disk.Flush_array.Indexed in
-  let identical = Marshal.to_string r_ref [] = Marshal.to_string r_idx [] in
-  let indexed_not_slower = idx_secs <= 1.25 *. ref_secs in
-  Printf.printf
-    "scarce-flush wall-clock: Reference %.3fs (%.0f words/tx), Indexed %.3fs \
-     (%.0f words/tx) (results %s)\n"
-    ref_secs ref_words idx_secs idx_words
-    (if identical then "identical" else "DIVERGED");
-  if not identical then failwith "hotpath: Reference/Indexed results diverged";
-  let gc1 = Gc.quick_stat () in
-  add_section "hotpath"
-    (J.Obj
-       [
-         ("dispatch", J.List dispatch_rows);
-         ( "ledger",
-           J.Obj
-             [
-               ("ops_per_sec", J.Float ledger_rate);
-               ("ops", J.Int ledger_total);
-               ("minor_words_per_op", J.Float ledger_words);
-             ] );
-         ("hybrid_append", J.List append_rows);
-         ( "scarce_wallclock",
-           J.Obj
-             [
-               ("reference_secs", J.Float ref_secs);
-               ("indexed_secs", J.Float idx_secs);
-               ("reference_words_per_tx", J.Float ref_words);
-               ("indexed_words_per_tx", J.Float idx_words);
-               ("indexed_not_slower", J.Bool indexed_not_slower);
-               ("results_identical", J.Bool identical);
-             ] );
-         ( "alloc",
-           J.Obj
-             [
-               ( "minor_words",
-                 J.Float (gc1.Gc.minor_words -. gc0.Gc.minor_words) );
-               ( "major_words",
-                 J.Float (gc1.Gc.major_words -. gc0.Gc.major_words) );
-               ( "promoted_words",
-                 J.Float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words) );
-             ] );
-       ])
+  let fields, alloc =
+    with_alloc (fun () ->
+        let dispatch_rows =
+          table
+            (List.map
+               (fun b ->
+                 let ref_rate, _ = drain F.Reference b in
+                 let idx_rate, _ = drain F.Indexed b in
+                 [
+                   col ~key:"backlog" "backlog" (int b);
+                   col ~key:"reference_picks_per_sec" "Reference picks/s"
+                     (num ~digits:0 ref_rate);
+                   col ~key:"indexed_picks_per_sec" "Indexed picks/s"
+                     (num ~digits:0 idx_rate);
+                   col ~key:"speedup" "speedup"
+                     (num ~suffix:"x" (idx_rate /. ref_rate));
+                 ])
+               backlogs)
+        in
+        print_newline ();
+        let ledger_rate, ledger_total, ledger_words = ledger_ops () in
+        Printf.printf
+          "ledger: %.0f ops/s (%d begin/write/commit/kill ops, 10k-tx active \
+           window, %.2f minor words/op)\n\n"
+          ledger_rate ledger_total ledger_words;
+        let append_rows =
+          List.map
+            (fun len ->
+              (* settle the major collector: the earlier bench stages
+                 leave floating garbage whose incremental slices would
+                 otherwise be charged to this loop's allocations *)
+              Gc.compact ();
+              let best = ref 0.0 and words = ref infinity in
+              for _ = 1 to append_reps do
+                let rate, w = hybrid_append len in
+                if rate > !best then best := rate;
+                if w < !words then words := w
+              done;
+              Printf.printf
+                "hybrid append: %6d-record tx  %12.0f records/s  %.2f minor \
+                 words/record\n"
+                len !best !words;
+              J.Obj
+                [
+                  ("records", J.Int len);
+                  ("records_per_sec", J.Float !best);
+                  ("minor_words_per_record", J.Float !words);
+                ])
+            lengths
+        in
+        print_newline ();
+        let r_ref, ref_secs, ref_words = best_of F.Reference in
+        let r_idx, idx_secs, idx_words = best_of F.Indexed in
+        let identical =
+          Marshal.to_string r_ref [] = Marshal.to_string r_idx []
+        in
+        Printf.printf
+          "scarce-flush wall-clock: Reference %.3fs (%.0f words/tx), Indexed \
+           %.3fs (%.0f words/tx) (results %s)\n"
+          ref_secs ref_words idx_secs idx_words
+          (if identical then "identical" else "DIVERGED");
+        if not identical then
+          failwith "hotpath: Reference/Indexed results diverged";
+        [
+          ("dispatch", J.List dispatch_rows);
+          ( "ledger",
+            J.Obj
+              [
+                ("ops_per_sec", J.Float ledger_rate);
+                ("ops", J.Int ledger_total);
+                ("minor_words_per_op", J.Float ledger_words);
+              ] );
+          ("hybrid_append", J.List append_rows);
+          ( "scarce_wallclock",
+            J.Obj
+              [
+                ("reference_secs", J.Float ref_secs);
+                ("indexed_secs", J.Float idx_secs);
+                ("reference_words_per_tx", J.Float ref_words);
+                ("indexed_words_per_tx", J.Float idx_words);
+                ("indexed_not_slower", J.Bool (idx_secs <= 1.25 *. ref_secs));
+                ("results_identical", J.Bool identical);
+              ] );
+        ])
+  in
+  add_section "hotpath" (J.Obj (fields @ [ ("alloc", alloc) ]))
 
 (* ---- multi-shard scale-out: oid-range partitions + cross-shard 2PC
    (lib/shard) ---- *)
@@ -1351,7 +1136,6 @@ let shard_row cfg =
   (rr, shard_committed, wall)
 
 let shards_bench speed =
-  heading "Multi-shard scale-out: oid-range partitions with cross-shard 2PC";
   let runtime = match speed with `Full -> 300.0 | `Quick -> 60.0 in
   let counts = [ 1; 2; 4 ] in
   let sweep_row n =
@@ -1362,38 +1146,26 @@ let shards_bench speed =
   let (rows, alloc) =
     with_alloc (fun () -> List.map (fun n -> (n, sweep_row n)) counts)
   in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("shards", Table.Right);
-          ("committed", Table.Right);
-          ("singles", Table.Right);
-          ("2pc commits", Table.Right);
-          ("prepares", Table.Right);
-          ("blocked", Table.Right);
-          ("per-shard commits", Table.Left);
-          ("log w/s", Table.Right);
-          ("wall s", Table.Right);
-        ]
+  let sweep =
+    table
+      (List.map
+         (fun (n, ((rr : Shard_group.run_result), sc, wall)) ->
+           [
+             col ~key:"shards" "shards" (int n);
+             col ~key:"committed" "committed"
+               (int rr.r_global.Experiment.committed);
+             col ~key:"single_committed" "singles" (int rr.r_single_committed);
+             col ~key:"cross_committed" "2pc commits"
+               (int rr.r_cross_committed);
+             col ~key:"prepares" "prepares" (int rr.r_prepares);
+             col ~key:"blocked" "blocked" (int rr.r_blocked);
+             col ~key:"shard_committed" "per-shard commits" (sizes sc);
+             col ~key:"log_write_rate" "log w/s"
+               (num rr.r_global.Experiment.log_write_rate);
+             col ~key:"wall_s" "wall s" (num wall);
+           ])
+         rows)
   in
-  List.iter
-    (fun (n, ((rr : Shard_group.run_result), shard_committed, wall)) ->
-      Table.add_row t
-        [
-          string_of_int n;
-          string_of_int rr.Shard_group.r_global.Experiment.committed;
-          string_of_int rr.Shard_group.r_single_committed;
-          string_of_int rr.Shard_group.r_cross_committed;
-          string_of_int rr.Shard_group.r_prepares;
-          string_of_int rr.Shard_group.r_blocked;
-          String.concat "+"
-            (Array.to_list (Array.map string_of_int shard_committed));
-          fmt_f rr.Shard_group.r_global.Experiment.log_write_rate;
-          fmt_f wall;
-        ])
-    rows;
-  Table.print t;
   print_newline ();
   print_endline
     "Fixed load split across N plants: every acknowledged transaction\n\
@@ -1417,81 +1189,39 @@ let shards_bench speed =
   in
   let h_committed = hr.Shard_group.r_global.Experiment.committed in
   let target_tx = 10_000_000 in
-  let extrapolated_wall =
-    h_wall *. (float_of_int target_tx /. float_of_int (max 1 h_committed))
+  let headline =
+    metrics
+      [
+        col ~key:"objects" "objects" (int ~text:"1,000,000" 1_000_000);
+        col ~key:"shards" "shards" (int 4);
+        col ~key:"committed" "committed (measured)" (int h_committed);
+        col ~key:"cross_committed" "cross-shard commits"
+          (int hr.Shard_group.r_cross_committed);
+        json "shard_committed" (sizes h_shard_committed);
+        col ~key:"updates_per_sec" "updates/s"
+          (num hr.Shard_group.r_global.Experiment.updates_per_sec);
+        col ~key:"wall_s" "wall s (measured)" (num h_wall);
+        json "target_tx" (int target_tx);
+        col ~key:"extrapolated_wall_s_to_target"
+          "wall s to 10^7 tx (extrapolated)"
+          (num
+             (h_wall
+             *. (float_of_int target_tx /. float_of_int (max 1 h_committed))));
+        json "extrapolated" (flag true);
+      ]
   in
-  let ht =
-    Table.create ~columns:[ ("metric", Table.Left); ("value", Table.Right) ]
-  in
-  Table.add_row ht [ "objects"; "1,000,000" ];
-  Table.add_row ht [ "shards"; "4" ];
-  Table.add_row ht [ "committed (measured)"; string_of_int h_committed ];
-  Table.add_row ht
-    [
-      "cross-shard commits";
-      string_of_int hr.Shard_group.r_cross_committed;
-    ];
-  Table.add_row ht
-    [
-      "updates/s";
-      fmt_f hr.Shard_group.r_global.Experiment.updates_per_sec;
-    ];
-  Table.add_row ht [ "wall s (measured)"; fmt_f h_wall ];
-  Table.add_row ht
-    [
-      "wall s to 10^7 tx (extrapolated)";
-      fmt_f extrapolated_wall;
-    ];
-  Table.print ht;
   add_section "shards"
     (J.Obj
        [
-         ( "sweep",
-           J.List
-             (List.map
-                (fun (n, ((rr : Shard_group.run_result), sc, wall)) ->
-                  J.Obj
-                    [
-                      ("shards", J.Int n);
-                      ( "committed",
-                        J.Int rr.Shard_group.r_global.Experiment.committed );
-                      ( "single_committed",
-                        J.Int rr.Shard_group.r_single_committed );
-                      ( "cross_committed",
-                        J.Int rr.Shard_group.r_cross_committed );
-                      ("prepares", J.Int rr.Shard_group.r_prepares);
-                      ("blocked", J.Int rr.Shard_group.r_blocked);
-                      ("shard_committed", j_ints sc);
-                      ( "log_write_rate",
-                        J.Float rr.Shard_group.r_global.Experiment.log_write_rate
-                      );
-                      ("wall_s", J.Float wall);
-                    ])
-                rows) );
-         ( "headline",
-           J.Obj
-             [
-               ("objects", J.Int 1_000_000);
-               ("shards", J.Int 4);
-               ("committed", J.Int h_committed);
-               ("cross_committed", J.Int hr.Shard_group.r_cross_committed);
-               ("shard_committed", j_ints h_shard_committed);
-               ( "updates_per_sec",
-                 J.Float hr.Shard_group.r_global.Experiment.updates_per_sec );
-               ("wall_s", J.Float h_wall);
-               ("target_tx", J.Int target_tx);
-               ("extrapolated_wall_s_to_target", J.Float extrapolated_wall);
-               ("extrapolated", J.Bool true);
-               ("alloc", h_alloc);
-             ] );
+         ("sweep", J.List sweep);
+         ("headline", J.Obj (headline @ [ ("alloc", h_alloc) ]));
          ("alloc", alloc);
        ])
 
 (* ---- Bechamel micro-benchmarks: one Test.make per figure/table plus
    the core data structures ---- *)
 
-let micro () =
-  heading "Bechamel micro-benchmarks (simulator and data structures)";
+let micro _speed =
   let open Bechamel in
   let open Toolkit in
   let short_sim kind =
@@ -1600,40 +1330,67 @@ let micro () =
       test_recovery;
     ]
 
-(* pulls "--json PATH" (anywhere in the argument list) out of [args] *)
-let rec extract_json acc = function
-  | [] -> (None, List.rev acc)
-  | [ "--json" ] ->
-    prerr_endline "bench: --json needs a path argument";
-    exit 2
-  | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-  | a :: rest -> extract_json (a :: acc) rest
+(* ---- the section table: selectors, --help and run order ---- *)
 
-(* pulls "--jobs N" (anywhere in the argument list) out of [args] *)
-let rec extract_jobs acc = function
-  | [] -> (1, List.rev acc)
-  | [ "--jobs" ] ->
-    prerr_endline "bench: --jobs needs a worker count";
-    exit 2
-  | "--jobs" :: n :: rest -> (
-    match int_of_string_opt n with
-    | Some jobs when jobs >= 1 -> (jobs, List.rev_append acc rest)
-    | Some _ | None ->
-      prerr_endline ("bench: bad --jobs count: " ^ n);
-      exit 2)
-  | a :: rest -> extract_jobs (a :: acc) rest
+let sections : (string * string * (Paper.speed -> unit)) list =
+  [
+    ("fig4", "Figure 4: minimum disk space (blocks) vs transaction mix", fig4);
+    ( "fig5",
+      "Figure 5: log disk bandwidth (block writes/s) vs transaction mix",
+      fig5 );
+    ( "fig6",
+      "Figure 6: main-memory requirements (bytes) vs transaction mix",
+      fig6 );
+    ("rates", "In-text: database update rate vs transaction mix", rates);
+    ( "fig7",
+      "Figure 7: EL bandwidth vs disk space (recirculation on, 5% mix, gen 0 \
+       fixed)",
+      fig7 );
+    ( "headline",
+      "In-text headline (5% mix): EL with recirculation vs FW",
+      headline );
+    ( "scarce",
+      "In-text: scarce flushing bandwidth (10 drives x 45 ms = 222/s)",
+      scarce );
+    ( "recovery",
+      "Recovery (beyond the paper: it argues small log => fast recovery)",
+      recovery_bench );
+    ( "store",
+      "Durable store: mem vs file backends on the real-bytes path",
+      store_bench );
+    ( "workloads",
+      "Adversarial workload presets (EL, standard check geometry)",
+      workloads_bench );
+    ( "ablation",
+      "Ablations of EL design choices (5% mix, 18+12 blocks)",
+      ablation );
+    ( "gens",
+      "Beyond the paper: minimum disk space vs number of generations (5% mix)",
+      gens_sweep );
+    ( "adaptive",
+      "Beyond the paper: adaptive generation sizing (the Sec. 6 wish)",
+      adaptive_bench );
+    ( "checkpoint",
+      "Beyond the paper: what ignoring FW's checkpoints hides (5% mix)",
+      checkpoint_bench );
+    ( "poisson",
+      "Beyond the paper: deterministic vs Poisson arrivals (5% mix)",
+      poisson_bench );
+    ( "hotpath",
+      "Hot-path micro-benchmarks (flush dispatch, ledger indexes, appends)",
+      hotpath );
+    ( "shards",
+      "Multi-shard scale-out: oid-range partitions with cross-shard 2PC",
+      shards_bench );
+    ( "micro",
+      "Bechamel micro-benchmarks (simulator and data structures)",
+      micro );
+  ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let json_path, args = extract_json [] args in
-  let jobs, args = extract_jobs [] args in
+let main quick jobs json_path selectors =
   pool := El_par.Pool.create ~jobs;
   at_exit (fun () -> El_par.Pool.shutdown !pool);
-  let quick = List.mem "--quick" args in
   let speed : Paper.speed = if quick then `Quick else `Full in
-  let selectors = List.filter (fun a -> a <> "--quick") args in
-  let all = selectors = [] in
-  let want s = all || List.mem s selectors in
   Printf.printf
     "Ephemeral Logging (Keen & Dally, SIGMOD 1993) -- evaluation reproduction\n";
   Printf.printf "mode: %s, %s\n"
@@ -1641,24 +1398,13 @@ let () =
     | `Full -> "full (500s simulated runs, paper parameters)"
     | `Quick -> "quick (120s simulated runs)")
     (if jobs = 1 then "serial" else Printf.sprintf "%d jobs" jobs);
-  if want "fig4" then fig4 speed;
-  if want "fig5" then fig5 speed;
-  if want "fig6" then fig6 speed;
-  if want "rates" then rates speed;
-  if want "fig7" then ignore (fig7 speed);
-  if want "headline" then headline speed;
-  if want "scarce" then ignore (scarce speed);
-  if want "recovery" then recovery_bench speed;
-  if want "store" then store_bench speed;
-  if want "workloads" then workloads_bench speed;
-  if want "ablation" then ablation speed;
-  if want "gens" then gens_sweep speed;
-  if want "adaptive" then adaptive_bench speed;
-  if want "checkpoint" then checkpoint_bench speed;
-  if want "poisson" then poisson_bench speed;
-  if want "hotpath" then hotpath speed;
-  if want "shards" then shards_bench speed;
-  if want "micro" then micro ();
+  List.iter
+    (fun (name, title, run) ->
+      if selectors = [] || List.mem name selectors then begin
+        Printf.printf "\n==== %s ====\n\n" title;
+        run speed
+      end)
+    sections;
   match json_path with
   | None -> ()
   | Some path ->
@@ -1673,7 +1419,7 @@ let () =
             J.List
               (List.map
                  (fun s -> J.String s)
-                 (if all then [ "all" ] else selectors)) );
+                 (if selectors = [] then [ "all" ] else selectors)) );
           ("sections", J.Obj !json_sections);
         ]
     in
@@ -1682,3 +1428,52 @@ let () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "\nwrote %s\n" path
+
+let () =
+  let open Cmdliner in
+  let selectors =
+    let names = List.map (fun (name, _, _) -> (name, name)) sections in
+    let doc =
+      "Sections to run, in table order; all of them when none is given."
+    in
+    Arg.(value & pos_all (enum names) [] & info [] ~doc ~docv:"SECTION")
+  in
+  let quick =
+    let doc =
+      "Shorten the simulated runs (120 s instead of the paper's 500 s) and \
+       coarsen the sweeps."
+    in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let jobs =
+    let doc =
+      "Run the independent simulations of each sweep on $(docv) domains \
+       (default 1 = serial; tables and JSON are identical either way)."
+    in
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg ("bad --jobs count: " ^ s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt positive 1 & info [ "jobs" ] ~doc ~docv:"N")
+  in
+  let json =
+    let doc =
+      "Write an el-bench/1 JSON summary of every section that ran to $(docv)."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"PATH")
+  in
+  let man =
+    `S "SECTIONS"
+    :: List.map (fun (name, title, _) -> `I (name, title)) sections
+  in
+  let info =
+    Cmd.info "main.exe" ~man
+      ~doc:"Reproduce the paper's evaluation and the beyond-the-paper benches"
+  in
+  exit
+    (Cmd.eval ~catch:false
+       (Cmd.v info Term.(const main $ quick $ jobs $ json $ selectors)))

@@ -129,22 +129,26 @@ let backend_term =
     & opt (conv (parse, print)) `Sim
     & info [ "backend" ] ~doc ~docv:"BACKEND")
 
+(* A fresh private directory, removed with its files at exit, so a
+   run never litters the working tree with store images. *)
+let temp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  at_exit (fun () ->
+      try
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat dir f))
+          (Sys.readdir dir);
+        Unix.rmdir dir
+      with Sys_error _ | Unix.Unix_error _ -> ());
+  dir
+
 let resolve_backend = function
   | `Sim -> Experiment.Sim
   | `Mem -> Experiment.Mem_store
   | `File (Some dir) -> Experiment.File_store dir
-  | `File None ->
-    let dir = Filename.temp_file "el-sim-images" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    at_exit (fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir);
-          Unix.rmdir dir
-        with Sys_error _ | Unix.Unix_error _ -> ());
-    Experiment.File_store dir
+  | `File None -> Experiment.File_store (temp_dir "el-sim-images")
 
 (* --scenario NAME: a named adversarial workload preset.  Applied
    after the rest of the config is assembled, it replaces the traffic
@@ -181,9 +185,9 @@ let apply_scenario cfg = function
   | None -> cfg
   | Some p -> Experiment.apply_preset cfg p
 
-(* Shared by every sweeping subcommand (min-space, paper, check): the
-   independent simulations fan out across $(docv) domains; outputs
-   are identical to --jobs 1 (see lib/par). *)
+(* Shared by every sweeping subcommand (min-space, check, fault,
+   conform): the independent simulations fan out across $(docv)
+   domains; outputs are identical to --jobs 1 (see lib/par). *)
 let jobs_term =
   let doc =
     "Run the independent simulations of a sweep on $(docv) domains \
@@ -325,14 +329,12 @@ let print_shard_table (rr : El_shard.Shard_group.run_result) =
 
 let run_cmd =
   let action cfg scenario =
-    let cfg = apply_scenario cfg scenario in
+    let rr = El_shard.Shard_group.run (apply_scenario cfg scenario) in
+    print_result rr.El_shard.Shard_group.r_global;
     if cfg.Experiment.shards > 1 then begin
-      let rr = El_shard.Shard_group.run cfg in
-      print_result rr.El_shard.Shard_group.r_global;
       print_newline ();
       print_shard_table rr
     end
-    else print_result (Experiment.run cfg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print the report.")
     Term.(const action $ config_term $ scenario_term)
@@ -342,11 +344,8 @@ let min_space_cmd =
     with_pool jobs @@ fun pool ->
     let cfg = apply_scenario cfg scenario in
     (* The min-space library can't depend on the shard layer (it lives
-       below it), so the sharded probe runner is injected here. *)
-    let run =
-      if cfg.Experiment.shards > 1 then El_shard.Shard_group.run_global
-      else Experiment.run
-    in
+       below it), so the probe runner is injected here. *)
+    let run = El_shard.Shard_group.run_global in
     match cfg.Experiment.kind with
     | Experiment.Hybrid _ ->
       prerr_endline "min-space: hybrid search is not supported; use run"
@@ -446,62 +445,6 @@ let recover_cmd =
           With --backend mem|file, also replay the durable image frozen at \
           the crash instant and compare the two recovered states.")
     Term.(const action $ config_term $ scenario_term $ crash_at)
-
-let paper_cmd =
-  let what =
-    let doc = "Which experiment: fig4|fig5|fig6|fig7|headline|scarce|rates." in
-    Arg.(value & pos 0 string "headline" & info [] ~doc ~docv:"EXPERIMENT")
-  in
-  let quick =
-    let doc = "Quick mode (120s simulated runs instead of 500s)." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let action what quick jobs =
-    with_pool jobs @@ fun pool ->
-    let speed : El_harness.Paper.speed = if quick then `Quick else `Full in
-    let exe = Sys.executable_name in
-    ignore exe;
-    match what with
-    | "headline" ->
-      let h = El_harness.Paper.headline ~pool ~speed () in
-      Printf.printf
-        "FW %d blocks @ %.2f w/s; EL %d blocks @ %.2f w/s => %.1fx space, \
-         +%.1f%% bandwidth (paper: 4.4x, +12%%)\n"
-        h.fw_blocks h.fw_bandwidth h.el_blocks h.el_bandwidth h.space_ratio
-        h.bandwidth_increase_pct
-    | "scarce" ->
-      let s = El_harness.Paper.scarce_flush ~pool ~speed () in
-      Printf.printf
-        "EL %d blocks @ %.2f w/s; mean flush distance %.0f (25ms baseline \
-         %.0f); paper: 31 blocks, 13.96 w/s, 109k vs 235k\n"
-        s.total_blocks s.bandwidth s.mean_flush_distance
-        s.baseline_mean_flush_distance
-    | "fig7" ->
-      let f = El_harness.Paper.fig7 ~pool ~speed () in
-      Printf.printf "gen0 fixed at %d\n" f.g0;
-      List.iter
-        (fun (r : El_harness.Paper.fig7_row) ->
-          Printf.printf "g1=%2d total=%2d bw_last=%.2f bw_total=%.2f %s\n" r.g1
-            r.total_blocks r.bw_last r.bw_total
-            (if r.feasible then "" else "(kills)"))
-        f.rows
-    | "fig4" | "fig5" | "fig6" | "rates" ->
-      let rows = El_harness.Paper.figs_4_5_6 ~pool ~speed () in
-      List.iter
-        (fun (r : El_harness.Paper.mix_row) ->
-          Printf.printf
-            "mix=%2d%%: FW %3d blk %.2f w/s %5dB | EL %3d blk (%s) %.2f w/s \
-             %5dB | %3.0f upd/s\n"
-            r.long_pct r.fw_blocks r.fw_bandwidth r.fw_memory r.el_blocks
-            (String.concat "+"
-               (Array.to_list (Array.map string_of_int r.el_sizes)))
-            r.el_bandwidth r.el_memory r.updates_per_sec)
-        rows
-    | other -> Printf.eprintf "unknown experiment %S\n" other
-  in
-  Cmd.v
-    (Cmd.info "paper" ~doc:"Reproduce a published experiment.")
-    Term.(const action $ what $ quick $ jobs_term)
 
 let adaptive_cmd =
   let initial =
@@ -634,8 +577,27 @@ let trace_cmd =
     Term.(
       const action $ config_term $ scenario $ out $ ring_capacity $ sample_ms)
 
-(* Events between sweep pauses, shared by [check] and [fault]. *)
-let stride_term doc =
+(* ---- options shared by the sweeping subcommands: check, fault and
+   conform ---- *)
+
+let sweep_runtime =
+  let doc = "Simulated runtime of each swept run, in seconds." in
+  Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
+
+let sweep_rate =
+  let doc = "Transaction arrival rate of each swept run, per second." in
+  Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
+
+let seeds =
+  let doc = "Number of seeds to sweep per manager kind." in
+  Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
+
+let stride ~default =
+  let doc =
+    "Events between sweep pauses (audits, crash and fault points): an \
+     integer, or small|medium|large (50/200/1000).  Smaller strides crash \
+     more often and run longer."
+  in
   let parse = function
     | "small" -> Ok 50
     | "medium" -> Ok 200
@@ -646,7 +608,10 @@ let stride_term doc =
       | _ -> Error (`Msg ("bad stride: " ^ s)))
   in
   let stride_conv = Arg.conv (parse, Format.pp_print_int) in
-  Arg.(value & opt stride_conv 200 & info [ "stride" ] ~doc)
+  Arg.(value & opt stride_conv default & info [ "stride" ] ~doc)
+
+(* The CI preset of each sweep; [doc] says what it fixes. *)
+let quick doc = Arg.(value & flag & info [ "quick" ] ~doc)
 
 (* Sweep every standard manager kind over seeds 1..[seeds], one table
    row per outcome ([columns] and [row] after the manager and seed
@@ -692,23 +657,6 @@ let sweep_report ~pool ~stride ~spec ~seeds ~quick ~points ~config ~columns
     exit 1
 
 let check_cmd =
-  let seeds =
-    let doc = "Number of seeds to sweep per manager kind." in
-    Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
-  in
-  let stride =
-    stride_term
-      "Events between audit pauses: an integer, or small|medium|large \
-       (50/200/1000).  Smaller strides crash more often and run longer."
-  in
-  let check_runtime =
-    let doc = "Simulated runtime of each swept run, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
-  in
-  let check_rate =
-    let doc = "Transaction arrival rate of each swept run, per second." in
-    Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
-  in
   let spec =
     let doc =
       "Also replay each sweep against the durable-log state-machine spec: \
@@ -717,13 +665,6 @@ let check_cmd =
        pause, and each recovered crash image must honour every acked commit."
     in
     Arg.(value & flag & info [ "spec" ] ~doc)
-  in
-  let quick =
-    let doc =
-      "CI preset: 1 seed, stride 40, 15 s runs; requires at least 50 crash \
-       points per manager kind."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
   in
   let action seeds stride runtime rate spec quick backend scenario shards jobs
       =
@@ -785,28 +726,15 @@ let check_cmd =
           multi-shard plant instead: per-shard differential models plus the \
           global atomic-commit invariant over every crash point.")
     Term.(
-      const action $ seeds $ stride $ check_runtime $ check_rate $ spec
-      $ quick $ backend_term $ scenario_term $ shards_term $ jobs_term)
+      const action $ seeds $ stride ~default:200 $ sweep_runtime $ sweep_rate
+      $ spec
+      $ quick
+          "CI preset: 1 seed, stride 40, 15 s runs; requires at least 50 \
+           crash points per manager kind."
+      $ backend_term $ scenario_term $ shards_term $ jobs_term)
 
 let fault_cmd =
   let module FP = El_fault.Fault_plan in
-  let seeds =
-    let doc = "Number of fault-plan seeds to sweep per manager kind." in
-    Arg.(value & opt int 3 & info [ "seeds" ] ~doc)
-  in
-  let stride =
-    stride_term
-      "Events between fault points: an integer, or small|medium|large \
-       (50/200/1000)."
-  in
-  let fault_runtime =
-    let doc = "Simulated runtime of each swept run, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
-  in
-  let fault_rate =
-    let doc = "Transaction arrival rate of each swept run, per second." in
-    Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
-  in
   let transient =
     let doc = "Per-op transient I/O failure probability on every device." in
     Arg.(value & opt float 0.0 & info [ "transient" ] ~doc)
@@ -870,14 +798,6 @@ let fault_cmd =
        is at least $(docv)."
     in
     Arg.(value & opt (some int) None & info [ "shed-backlog" ] ~doc ~docv:"N")
-  in
-  let quick =
-    let doc =
-      "CI preset: 3 seeds, stride 40 (at least 50 fault points per sweep), \
-       20 s runs under a fault storm (transient 0.05 burst 2, sticky 0.002, \
-       torn 0.2 on the log channels)."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
   in
   let identity =
     let doc =
@@ -1020,35 +940,17 @@ let fault_cmd =
           the contract that an armed-but-inert plan is byte-identical to no \
           plan.  Exits non-zero on any divergence.")
     Term.(
-      const action $ seeds $ stride $ fault_runtime $ fault_rate $ transient
-      $ burst $ sticky $ torn $ retry_budget $ penalty_ms $ spares $ latency
-      $ shed_backlog $ quick $ identity $ scenario_term $ jobs_term)
+      const action $ seeds $ stride ~default:200 $ sweep_runtime $ sweep_rate
+      $ transient $ burst $ sticky $ torn $ retry_budget $ penalty_ms $ spares
+      $ latency $ shed_backlog
+      $ quick
+          "CI preset: 3 seeds, stride 40 (at least 50 fault points per \
+           sweep), 20 s runs under a fault storm (transient 0.05 burst 2, \
+           sticky 0.002, torn 0.2 on the log channels)."
+      $ identity $ scenario_term $ jobs_term)
 
 let conform_cmd =
   let module Conform = El_check.Conform in
-  let stride =
-    let doc = "Events between audit pauses of each sweep." in
-    Arg.(value & opt int 100 & info [ "stride" ] ~doc)
-  in
-  let conform_runtime =
-    let doc = "Simulated runtime of each swept cell, in seconds." in
-    Arg.(value & opt float 20.0 & info [ "runtime" ] ~doc)
-  in
-  let conform_rate =
-    let doc = "Transaction arrival rate of each swept cell, per second." in
-    Arg.(value & opt float 40.0 & info [ "rate" ] ~doc)
-  in
-  let conform_seed =
-    let doc = "Random seed shared by every cell." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc)
-  in
-  let quick =
-    let doc =
-      "CI preset: 15 s runs, stride 40 capped at 80 audit points, 4 s \
-       store legs; requires at least 50 crash points per cell."
-    in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
   let action scenario stride runtime rate seed quick shards jobs =
     with_pool jobs @@ fun pool ->
     let runtime, stride, max_points, min_points, store_runtime =
@@ -1060,21 +962,10 @@ let conform_cmd =
       | None -> El_workload.Workload_preset.all
       | Some p -> [ p ]
     in
-    (* Store images land in a private temp directory removed at exit,
-       so a conform run never litters the working tree. *)
-    let store_dir = Filename.temp_file "el-sim-conform" "" in
-    Sys.remove store_dir;
-    Unix.mkdir store_dir 0o700;
-    at_exit (fun () ->
-        try
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat store_dir f))
-            (Sys.readdir store_dir);
-          Unix.rmdir store_dir
-        with Sys_error _ | Unix.Unix_error _ -> ());
     let report =
       Conform.run ~pool ~shards ~presets ~runtime ~rate ~seed ~stride
-        ~max_points ~min_points ~store_dir ~store_runtime ()
+        ~max_points ~min_points ~store_dir:(temp_dir "el-sim-conform")
+        ~store_runtime ()
     in
     let t =
       El_metrics.Table.create
@@ -1141,8 +1032,12 @@ let conform_cmd =
           cell through the sharded composite oracle (the store battery is \
           solo-only and is skipped).")
     Term.(
-      const action $ scenario_term $ stride $ conform_runtime $ conform_rate
-      $ conform_seed $ quick $ shards_term $ jobs_term)
+      const action $ scenario_term $ stride ~default:100 $ sweep_runtime
+      $ sweep_rate $ seed
+      $ quick
+          "CI preset: 15 s runs, stride 40 capped at 80 audit points, 4 s \
+           store legs; requires at least 50 crash points per cell."
+      $ shards_term $ jobs_term)
 
 let serve_cmd =
   let image =
@@ -1224,8 +1119,8 @@ let serve_cmd =
 
 let () =
   let subcommands =
-    [ run_cmd; min_space_cmd; recover_cmd; paper_cmd; adaptive_cmd; check_cmd;
-      fault_cmd; conform_cmd; trace_cmd; serve_cmd ]
+    [ run_cmd; min_space_cmd; recover_cmd; adaptive_cmd; check_cmd; fault_cmd;
+      conform_cmd; trace_cmd; serve_cmd ]
   in
   (* One list, one synopsis: the summary is generated from the
      commands themselves so it cannot drift as subcommands come and
@@ -1240,7 +1135,7 @@ let () =
   let code =
     try Cmd.eval ~catch:false (Cmd.group info subcommands)
     with
-    | Failure msg | Sys_error msg ->
+    | Failure msg | Invalid_argument msg | Sys_error msg ->
       Printf.eprintf "el-sim: %s\n" msg;
       2
     | Unix.Unix_error (e, fn, arg) ->

@@ -33,9 +33,6 @@ val kill : t -> Ids.Tid.t -> unit
 val committed_count : t -> int
 (** Transactions whose commit acknowledgement has fired. *)
 
-val committed_versions : t -> (Ids.Oid.t * int) list
-(** Newest committed version per object, in unspecified order. *)
-
 val violations : t -> string list
 (** Protocol violations observed so far, oldest first; empty against a
     correct manager. *)

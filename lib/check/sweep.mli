@@ -113,13 +113,6 @@ val run :
 
 val kind_name : El_harness.Experiment.manager_kind -> string
 
-val scale_kind :
-  float -> El_harness.Experiment.manager_kind -> El_harness.Experiment.manager_kind
-(** [scale_kind f kind] multiplies the manager's log budget (generation
-    sizes, FW blocks) by [f], rounding up; [f <= 1.0] returns the kind
-    unchanged.  Used to size the standard geometries for a preset's
-    {!El_workload.Workload_preset.space_factor}. *)
-
 val standard_config :
   kind:El_harness.Experiment.manager_kind ->
   ?runtime:Time.t ->
@@ -138,8 +131,8 @@ val standard_config :
     [Sim] backend.  [preset], when given, replaces the traffic half
     (mix, arrivals, draw, lifetime, retry budget) via
     {!El_harness.Experiment.apply_preset} — note it overrides
-    [arrival_process] too — and scales [kind] by the preset's
-    [space_factor] (see {!scale_kind}). *)
+    [arrival_process] too — and scales [kind]'s log budget (generation
+    sizes, FW blocks) by the preset's [space_factor], rounding up. *)
 
 val standard_kinds : unit -> (string * El_harness.Experiment.manager_kind) list
 (** The three managers swept by default: an EL chain, the FW baseline

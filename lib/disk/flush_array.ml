@@ -379,10 +379,6 @@ let enqueue t oid ~version ~forced =
 let request t oid ~version = enqueue t oid ~version ~forced:false
 let request_forced t oid ~version = enqueue t oid ~version ~forced:true
 
-let is_pending t oid =
-  let d = drive_of t oid in
-  Hashtbl.mem d.pending_tbl (Ids.Oid.to_int oid)
-
 let pending t = t.pending_count
 let peak_backlog t = t.peak_backlog
 let flushes_completed t = t.completed
@@ -394,17 +390,6 @@ let distance_stat t = t.distances
 
 let max_rate_per_sec t =
   float_of_int (Array.length t.drives) /. Time.to_sec_f t.transfer_time
-
-let drain_time t =
-  let now = El_sim.Engine.now t.engine in
-  let worst = ref now in
-  Array.iter
-    (fun d ->
-      let backlog = Hashtbl.length d.pending_tbl + if d.busy then 1 else 0 in
-      let finish = Time.add now (Time.mul_int t.transfer_time backlog) in
-      if Time.(finish > !worst) then worst := finish)
-    t.drives;
-  !worst
 
 let check_invariants t =
   Array.iter

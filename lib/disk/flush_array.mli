@@ -85,8 +85,6 @@ val request_forced : t -> Ids.Oid.t -> version:int -> unit
     a generation must be written out immediately, causing random I/O
     (§2.2).  Counted separately in {!forced_flushes}. *)
 
-val is_pending : t -> Ids.Oid.t -> bool
-
 val pending : t -> int
 (** Requests accepted but not yet completed (the flush backlog). *)
 
@@ -109,10 +107,6 @@ val distance_stat : t -> El_metrics.Running_stat.t
 
 val max_rate_per_sec : t -> float
 (** The array's aggregate service capacity, drives / transfer_time. *)
-
-val drain_time : t -> Time.t
-(** Simulated time by which the current backlog will have been fully
-    served, assuming no further arrivals. *)
 
 val check_invariants : t -> unit
 (** Cross-checks the elevator indexes against the pending table: every

@@ -40,8 +40,6 @@ type device = Log_gen of int | Flush_drive of int
 val device_name : device -> string
 (** ["gen0"], ["drive3"], ... — used in trace events and messages. *)
 
-val pp_device : Format.formatter -> device -> unit
-
 type window = { w_from : Time.t; w_until : Time.t; w_factor : float }
 
 type spec = {
@@ -64,13 +62,11 @@ val clean_spec : spec
 type retry = { budget : int; penalty : Time.t }
 (** Bounded-retry policy for transient errors.  [penalty] is the
     deterministic extra service time charged per absorbed retry; the
-    default {!default_retry} is [{budget = 3; penalty = zero}], which
+    default is [{budget = 3; penalty = zero}], which
     makes the transient path timing-neutral — a faulted run either
     completes byte-identical to the fault-free run or dies
     deterministically ({!Injector.Io_fatal}), the law pinned by the
     retry/backoff QCheck test. *)
-
-val default_retry : retry
 
 type degraded = { shed_backlog : int }
 (** Load shedding under fault storms: when the flush backlog exceeds
@@ -111,6 +107,6 @@ val make :
   t
 (** Uniform plan: [log_spec] (default {!clean_spec}) on log channels
     [0..log_gens-1], [flush_spec] on drives [0..flush_drives-1].
-    Defaults: seed 0, {!default_retry}, 1024 spares, no degraded
-    mode.  Validates; specifying more log devices than a manager has
+    Defaults: seed 0, retry [{budget = 3; penalty = zero}], 1024
+    spares, no degraded mode.  Validates; specifying more log devices than a manager has
     channels is harmless (extra specs are never consulted). *)

@@ -9,9 +9,6 @@ val block_payload : int
 (** Usable bytes per disk block: 2000 (a 2048-byte block minus 48
     bytes of bookkeeping). *)
 
-val block_raw : int
-(** Raw size of a disk block: 2048 bytes. *)
-
 val head_tail_gap : int
 (** [k], the minimum number of blocks that must stay free between a
     generation's tail and head: 2. *)

@@ -4,7 +4,7 @@
     Interior bucket [i] (1-based) covers
     [lowest * base^(i-1), lowest * base^i); bucket [0] is the
     underflow bucket (everything below [lowest], including negatives)
-    and bucket [num_buckets + 1] the overflow bucket.  Boundaries are
+    and the bucket after the last interior one is the overflow bucket.  Boundaries are
     computed by iterated multiplication, so an observation exactly on
     a boundary lands deterministically in the bucket whose lower bound
     it equals. *)
@@ -30,11 +30,8 @@ val min_value : t -> float
 val max_value : t -> float
 (** [neg_infinity] when empty. *)
 
-val num_buckets : t -> int
-(** Interior buckets only. *)
-
 val bucket_index : t -> float -> int
-(** Index into the [num_buckets + 2] counters (0 = underflow). *)
+(** Index into the interior counters plus underflow (0) and overflow. *)
 
 val bucket_count : t -> int -> int
 

@@ -47,8 +47,6 @@ val corrupt_seal : Log_record.t -> sealed
 (** A record whose stamp cannot validate — what a torn or corrupted
     sector reads back as.  Exposed for negative tests. *)
 
-val seal_valid : sealed -> bool
-
 type image = {
   blocks : sealed list list;
       (** every durable block's sealed records, in on-disk order

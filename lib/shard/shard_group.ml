@@ -4,7 +4,6 @@ module Generator = El_workload.Generator
 module Recovery = El_recovery.Recovery
 module Experiment = El_harness.Experiment
 module Spsc = El_par.Spsc
-module IntSet = Set.Make (Int)
 
 (* Operations travelling generator → shard through the SPSC mailbox.
    The ack closures ride along: under the deterministic engine the
@@ -122,9 +121,6 @@ let view g =
   }
 
 let cross_views t = List.rev_map view t.cross_log
-let live_views t =
-  Hashtbl.fold (fun _ g acc -> view g :: acc) t.registry []
-  |> List.sort (fun a b -> compare a.v_gtid b.v_gtid)
 
 let single_committed t =
   if t.cfg.Experiment.shards = 1 then Generator.committed (generator t)
@@ -132,7 +128,6 @@ let single_committed t =
 
 let cross_committed t = t.cross
 let blocked t = t.blocked_n
-let prepares_written t = t.prepares
 
 let shard_committed t =
   if t.cfg.Experiment.shards = 1 then [| Generator.committed (generator t) |]
@@ -645,31 +640,3 @@ let crash_images t =
       | None ->
         invalid_arg "Shard_group.crash_images: EL shards only (no FW model)")
     t.sg_instances
-
-let recover_shards ?pool images =
-  let recover_one img = Recovery.recover img in
-  let results =
-    match pool with
-    | None -> List.map recover_one (Array.to_list images)
-    | Some p -> El_par.Pool.map p recover_one (Array.to_list images)
-  in
-  Array.of_list results
-
-let resolve_in_doubt t ~committed_tids =
-  let sets =
-    Array.map
-      (fun tids ->
-        List.fold_left
-          (fun s tid -> IntSet.add (Ids.Tid.to_int tid) s)
-          IntSet.empty tids)
-      committed_tids
-  in
-  List.map
-    (fun v ->
-      let decision_durable =
-        IntSet.mem
-          (Ids.Tid.to_int (Two_pc.decision_tid ~gtid:v.v_gtid))
-          sets.(v.v_coordinator)
-      in
-      (v, Two_pc.resolve ~decision_durable))
-    (cross_views t)
