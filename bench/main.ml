@@ -163,24 +163,34 @@ let add_section name doc =
   if not (List.mem_assoc name !json_sections) then
     json_sections := !json_sections @ [ (name, doc) ]
 
-(* Allocation accounting: sections carry an "alloc" object with the
-   GC words allocated while their workload ran.  These are
+(* Allocation accounting: [with_alloc name f] records the GC words
+   allocated while [f] ran under [name] in the top-level "alloc"
+   object, beside [sections] rather than inside them.  These are
    [Gc.quick_stat] deltas: they track allocation volume, but two
    identical runs can differ by ~10^5 minor words, so they are not a
-   regression gate.  The precise gates are the hotpath section's
-   per-op [Gc.minor_words] counts. *)
-let with_alloc f =
+   regression gate, and keeping them out of [sections] leaves those
+   a function of the inputs (equal at any --jobs).  The precise gates
+   are the hotpath section's per-op [Gc.minor_words] counts. *)
+let json_alloc : (string * J.t) list ref = ref []
+
+let with_alloc name f =
   let s0 = Gc.quick_stat () in
   let r = f () in
   let s1 = Gc.quick_stat () in
-  ( r,
-    J.Obj
-      [
-        ("minor_words", J.Float (s1.Gc.minor_words -. s0.Gc.minor_words));
-        ("major_words", J.Float (s1.Gc.major_words -. s0.Gc.major_words));
-        ( "promoted_words",
-          J.Float (s1.Gc.promoted_words -. s0.Gc.promoted_words) );
-      ] )
+  let delta words = J.Float (words s1 -. words s0) in
+  if not (List.mem_assoc name !json_alloc) then
+    json_alloc :=
+      !json_alloc
+      @ [
+          ( name,
+            J.Obj
+              [
+                ("minor_words", delta (fun s -> s.Gc.minor_words));
+                ("major_words", delta (fun s -> s.Gc.major_words));
+                ("promoted_words", delta (fun s -> s.Gc.promoted_words));
+              ] );
+        ];
+  r
 
 (* ---- Figures 4, 5, 6 and the update rates: one shared sweep ---- *)
 
@@ -257,8 +267,8 @@ let get_mix_rows speed =
     Printf.printf
       "(running the Fig. 4/5/6 minimum-space sweeps; this is the expensive \
        part)\n%!";
-    let rows, alloc =
-      with_alloc (fun () -> Paper.figs_4_5_6 ~pool:!pool ~speed ())
+    let rows =
+      with_alloc "mix_sweep" (fun () -> Paper.figs_4_5_6 ~pool:!pool ~speed ())
     in
     Hashtbl.replace mix_rows speed rows;
     let all_cols r =
@@ -266,11 +276,7 @@ let get_mix_rows speed =
         [ fig4_cols; fig5_cols; fig6_cols; rates_cols ]
     in
     add_section "mix_sweep"
-      (J.Obj
-         [
-           ("rows", J.List (List.map (fun r -> obj (all_cols r)) rows));
-           ("alloc", alloc);
-         ]);
+      (J.Obj [ ("rows", J.List (List.map (fun r -> obj (all_cols r)) rows)) ]);
     rows
 
 let mix_figure ?note cols speed =
@@ -320,12 +326,11 @@ let get_fig7 speed =
   match Hashtbl.find_opt fig7_cache speed with
   | Some r -> r
   | None ->
-    let r, alloc = with_alloc (fun () -> Paper.fig7 ~pool:!pool ~speed ()) in
+    let r = with_alloc "fig7" (fun () -> Paper.fig7 ~pool:!pool ~speed ()) in
     Hashtbl.replace fig7_cache speed r;
     add_section "fig7"
       (J.Obj
          [
-           ("alloc", alloc);
            ("g0", J.Int r.g0);
            ("no_recirc_sizes", j_ints r.no_recirc_sizes);
            ("rows", J.List (List.map (fun row -> obj (fig7_cols row)) r.rows));
@@ -345,8 +350,8 @@ let fig7 speed =
      transactions."
 
 let headline speed =
-  let h, alloc =
-    with_alloc (fun () ->
+  let h =
+    with_alloc "headline" (fun () ->
         Paper.headline ~pool:!pool ~speed ~fig7_result:(get_fig7 speed) ())
   in
   let fields =
@@ -367,10 +372,10 @@ let headline speed =
           (num ~digits:1 ~suffix:"%" h.bandwidth_increase_pct);
       ]
   in
-  add_section "headline" (J.Obj (fields @ [ ("alloc", alloc) ]))
+  add_section "headline" (J.Obj fields)
 
 let scarce speed =
-  let s, alloc = with_alloc (fun () -> Paper.scarce_flush ~pool:!pool ~speed ()) in
+  let s = with_alloc "scarce" (fun () -> Paper.scarce_flush ~pool:!pool ~speed ()) in
   let fields =
     metrics
       [
@@ -393,7 +398,7 @@ let scarce speed =
      backlog accumulates, flush scheduling finds closer objects (smaller\n\
      mean oid distance = better locality), and EL absorbs it with a few\n\
      extra blocks -- the negative-feedback stability argument.";
-  add_section "scarce" (J.Obj (fields @ [ ("alloc", alloc) ]))
+  add_section "scarce" (J.Obj fields)
 
 (* ---- beyond the paper ---- *)
 
@@ -409,8 +414,8 @@ let recovery_bench speed =
     }
   in
   let crash_at = Time.mul_int (Time.div_int runtime 4) 3 in
-  let (result, recovery, audit), alloc =
-    with_alloc (fun () -> Experiment.run_with_crash cfg ~crash_at)
+  let result, recovery, audit =
+    with_alloc "recovery" (fun () -> Experiment.run_with_crash cfg ~crash_at)
   in
   let module R = El_recovery.Recovery in
   (* recovery-time estimates under the conservative early-90s cost
@@ -447,7 +452,7 @@ let recovery_bench speed =
      in less than a second may be feasible' (Sec. 4) holds.@."
     result.Experiment.total_blocks El_recovery.Timing.pp el_time
     El_recovery.Timing.pp fw_time;
-  add_section "recovery" (J.Obj (fields @ [ ("alloc", alloc) ]))
+  add_section "recovery" (J.Obj fields)
 
 (* The same crash/recover run as [recovery], but on the real-bytes
    path: once per store backend, with the store replay cross-checked
@@ -488,8 +493,8 @@ let store_bench speed =
   (* Each file run writes a fresh temp image that disposing the run
      removes, so the system temp directory needs no cleanup. *)
   let dir = Filename.get_temp_dir_name () in
-  let runs, alloc =
-    with_alloc (fun () ->
+  let runs =
+    with_alloc "store" (fun () ->
         [
           ("mem", run_backend Experiment.Mem_store);
           ("file", run_backend (Experiment.File_store dir));
@@ -554,7 +559,6 @@ let store_bench speed =
                 ("group_syncs", J.Int group_syncs);
                 ("barrier_reduction", J.Float reduction);
               ] )
-       :: ("alloc", alloc)
        :: List.map2 (fun (name, _) o -> (name, o)) runs backend_objs))
 
 (* One EL run per workload preset (beyond the paper: its evaluation
@@ -568,8 +572,8 @@ let workloads_bench speed =
     match speed with `Full -> Time.of_sec 240 | `Quick -> Time.of_sec 60
   in
   let kind = List.assoc "el" (El_check.Sweep.standard_kinds ()) in
-  let runs, alloc =
-    with_alloc (fun () ->
+  let runs =
+    with_alloc "workloads" (fun () ->
         List.map
           (fun (p : El_workload.Workload_preset.t) ->
             ( p.El_workload.Workload_preset.name,
@@ -596,7 +600,7 @@ let workloads_bench speed =
            ])
          runs)
   in
-  add_section "workloads" (J.Obj [ ("rows", J.List rows); ("alloc", alloc) ])
+  add_section "workloads" (J.Obj [ ("rows", J.List rows) ])
 
 let ablation speed =
   let base kind = Paper.base_config ~speed ~kind ~long_pct:5 () in
@@ -663,8 +667,9 @@ let ablation speed =
     nearest.Experiment.flush_mean_distance fifo.Experiment.flush_mean_distance
 
 let gens_sweep speed =
-  let rows, alloc =
-    with_alloc (fun () -> Paper.generation_count_sweep ~pool:!pool ~speed ())
+  let rows =
+    with_alloc "generation_sweep" (fun () ->
+        Paper.generation_count_sweep ~pool:!pool ~speed ())
   in
   let rows =
     table
@@ -685,8 +690,7 @@ let gens_sweep speed =
      more generations spend a few blocks to cut the rewrite traffic --\n\
      Sec. 6's point that the optimal number and sizes are\n\
      application-dependent.";
-  add_section "generation_sweep"
-    (J.Obj [ ("rows", J.List rows); ("alloc", alloc) ])
+  add_section "generation_sweep" (J.Obj [ ("rows", J.List rows) ])
 
 let adaptive_bench speed =
   let cfg =
@@ -1011,8 +1015,8 @@ let hotpath speed =
     let _, secs1, _ = run_scarce impl in
     (r, Float.min secs0 secs1, words)
   in
-  let fields, alloc =
-    with_alloc (fun () ->
+  let fields =
+    with_alloc "hotpath" (fun () ->
         let dispatch_rows =
           table
             (List.map
@@ -1096,7 +1100,7 @@ let hotpath speed =
               ] );
         ])
   in
-  add_section "hotpath" (J.Obj (fields @ [ ("alloc", alloc) ]))
+  add_section "hotpath" (J.Obj fields)
 
 (* ---- multi-shard scale-out: oid-range partitions + cross-shard 2PC
    (lib/shard) ---- *)
@@ -1143,8 +1147,8 @@ let shards_bench speed =
       (shard_cfg ~runtime ~rate:150.0 ~objects:100_000 ~drives:16
          ~gens:[| 64; 48 |] ~shards:n ~seed:42)
   in
-  let (rows, alloc) =
-    with_alloc (fun () -> List.map (fun n -> (n, sweep_row n)) counts)
+  let rows =
+    with_alloc "shards" (fun () -> List.map (fun n -> (n, sweep_row n)) counts)
   in
   let sweep =
     table
@@ -1184,8 +1188,8 @@ let shards_bench speed =
     shard_cfg ~runtime:h_runtime ~rate:h_rate ~objects:1_000_000 ~drives:128
       ~gens:[| 320; 256 |] ~shards:4 ~seed:42
   in
-  let (hr, h_shard_committed, h_wall), h_alloc =
-    with_alloc (fun () -> shard_row h_cfg)
+  let hr, h_shard_committed, h_wall =
+    with_alloc "shards.headline" (fun () -> shard_row h_cfg)
   in
   let h_committed = hr.Shard_group.r_global.Experiment.committed in
   let target_tx = 10_000_000 in
@@ -1214,8 +1218,7 @@ let shards_bench speed =
     (J.Obj
        [
          ("sweep", J.List sweep);
-         ("headline", J.Obj (headline @ [ ("alloc", h_alloc) ]));
-         ("alloc", alloc);
+         ("headline", J.Obj headline);
        ])
 
 (* ---- Bechamel micro-benchmarks: one Test.make per figure/table plus
@@ -1421,6 +1424,7 @@ let main quick jobs json_path selectors =
                  (fun s -> J.String s)
                  (if selectors = [] then [ "all" ] else selectors)) );
           ("sections", J.Obj !json_sections);
+          ("alloc", J.Obj !json_alloc);
         ]
     in
     let oc = open_out path in

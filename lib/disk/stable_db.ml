@@ -16,6 +16,19 @@ let apply t oid ~version =
   | Some v when v >= version -> ()
   | Some _ | None -> Ids.Oid.Table.replace t.versions oid version
 
+let of_facts ~num_objects facts =
+  if num_objects <= 0 then invalid_arg "Stable_db.of_facts: no objects";
+  (* sized for every fact an oid of its own, so the table never grows *)
+  let size = min num_objects (Array.length facts) in
+  let t = { num_objects; versions = Ids.Oid.Table.create size } in
+  let outside = Ids.Oid.Table.create 8 in
+  Array.iter
+    (fun (oid, version) ->
+      if in_range t oid then apply t oid ~version
+      else Ids.Oid.Table.replace outside oid ())
+    facts;
+  (t, Ids.Oid.Table.length outside)
+
 let version t oid = Ids.Oid.Table.find_opt t.versions oid
 let objects_written t = Ids.Oid.Table.length t.versions
 

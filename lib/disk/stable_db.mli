@@ -14,6 +14,11 @@ type t
 
 val create : num_objects:int -> t
 
+val of_facts : num_objects:int -> (Ids.Oid.t * int) array -> t * int
+(** One pass over install facts in any order: per oid, the highest
+    version.  Facts naming an oid outside [[0, num_objects)] are
+    dropped; the second component counts the distinct oids dropped. *)
+
 val apply : t -> Ids.Oid.t -> version:int -> unit
 (** Records that [version] of [oid] is now durable in the stable
     version.  Versions are monotone per object: applying an older

@@ -246,22 +246,6 @@ let recover ?obs image =
 let discarded_placeholder =
   Log_record.abort ~tid:(Ids.Tid.of_int 0) ~size:1 ~timestamp:Time.zero
 
-(* A checksum-valid image may still name any oid, so install facts
-   outside [0, num_objects) are dropped and counted, never applied. *)
-let stable_of_facts ~num_objects facts =
-  let db = El_disk.Stable_db.create ~num_objects in
-  let dropped =
-    List.fold_left
-      (fun dropped (oid, version) ->
-        if El_disk.Stable_db.in_range db oid then begin
-          El_disk.Stable_db.apply db oid ~version;
-          dropped
-        end
-        else dropped + 1)
-      0 facts
-  in
-  (db, dropped)
-
 let image_of_scan ~num_objects ?(reference = [])
     (s : El_store.Log_store.scan) =
   let blocks =
@@ -274,7 +258,7 @@ let image_of_scan ~num_objects ?(reference = [])
   in
   {
     blocks;
-    stable = fst (stable_of_facts ~num_objects s.El_store.Log_store.s_stable);
+    stable = fst (El_disk.Stable_db.of_facts ~num_objects s.s_stable);
     reference;
     crash_time = Time.zero;
   }
@@ -291,7 +275,7 @@ let recover_scan ?obs ~num_objects (s : El_store.Log_store.scan) =
         else (blocks, records))
       (0, 0) s.s_blocks
   in
-  let recovered, dropped = stable_of_facts ~num_objects s.s_stable in
+  let recovered, dropped = El_disk.Stable_db.of_facts ~num_objects s.s_stable in
   replay ?obs ~recovered ~dropped ~crash_time:Time.zero ~torn_blocks
     ~torn_records
     (List.concat_map (fun (b : El_store.Log_store.block) -> b.sb_records)

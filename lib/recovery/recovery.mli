@@ -100,7 +100,8 @@ val image_of_scan :
     block's valid records are sealed, its discarded (bad-checksum)
     entries become corrupt seals so the torn counters match a
     simulated crash of the same state, and the stable version is
-    rebuilt from the persisted install facts.  [reference] defaults to
+    rebuilt from the persisted install facts by
+    {!El_disk.Stable_db.of_facts}.  [reference] defaults to
     empty — a real restart has no ground truth; pass one to {!audit}
     against in-simulation expectations.  [crash_time] is {!Time.zero}:
     a scanned image carries no clock.  Install facts naming an oid

@@ -83,6 +83,9 @@ type t = {
   mailboxes : op Spsc.t array;
   slot_pools : slot_pool array;
   registry : (int, gtx) Hashtbl.t;  (* gtid -> live gtx *)
+  mutable draining : int;  (* drains on the stack *)
+  mutable pending : (int * Ids.Tid.t) list;
+      (* sibling aborts held back until no drain is on the stack *)
   retain_cross : bool;
   mutable cross_log : gtx list;  (* newest first; ≥ 2 participants only *)
   mutable gen : Generator.t option;
@@ -142,7 +145,7 @@ let post t p op =
   if not (Spsc.try_push t.mailboxes.(p) op) then
     failwith "Shard_group: shard mailbox overflow"
 
-let drain t p =
+let rec drain t p =
   let sink = t.sinks.(p) in
   let box = t.mailboxes.(p) in
   let rec loop () =
@@ -157,7 +160,28 @@ let drain t p =
       | Abort tid -> sink.Generator.request_abort ~tid);
       loop ()
   in
-  loop ()
+  t.draining <- t.draining + 1;
+  loop ();
+  t.draining <- t.draining - 1;
+  if t.draining = 0 then
+    match t.pending with
+    | [] -> ()
+    | (q, tid) :: rest ->
+      t.pending <- rest;
+      post t q (Abort tid);
+      drain t q
+
+(* A kill hook runs inside a manager call.  Aborting the sibling
+   branches from there can come straight back into the killing manager
+   through the siblings' own kills, so while any drain is on the stack
+   the abort only joins [pending], and the outermost drain delivers it
+   on its way out, when no manager call is left on the stack. *)
+let abort_after_kill t p tid =
+  if t.draining = 0 then begin
+    post t p (Abort tid);
+    drain t p
+  end
+  else t.pending <- t.pending @ [ (p, tid) ]
 
 let settle t g =
   Hashtbl.remove t.registry (Two_pc.gtid g.pc)
@@ -340,6 +364,8 @@ let route_commit t ~tid ~on_ack =
    transaction — 2PC's classic failure mode, resolved by presumed
    abort at recovery. *)
 let on_manager_kill t i tid =
+  (* a branch that dies before its held-back abort arrives takes none *)
+  t.pending <- List.filter (fun (p, x) -> p <> i || x <> tid) t.pending;
   if Two_pc.is_decision_tid tid then begin
     match Hashtbl.find_opt t.registry (Two_pc.gtid_of_decision tid) with
     | None -> ()
@@ -365,10 +391,7 @@ let on_manager_kill t i tid =
         let ps = Two_pc.participants g.pc in
         List.iter
           (fun p ->
-            if p <> i then begin
-              post t p (Abort tid);
-              drain t p
-            end)
+            if p <> i then abort_after_kill t p tid)
           ps;
         settle t g;
         Generator.kill (generator t) tid
@@ -429,6 +452,8 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
       slot_pools =
         Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
       registry = Hashtbl.create 1024;
+      draining = 0;
+      pending = [];
       retain_cross;
       cross_log = [];
       gen = None;

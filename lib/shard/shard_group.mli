@@ -10,7 +10,11 @@
     deterministic engine each mailbox is drained to empty inside the
     producing call, so event order is exactly that of a direct call;
     the rings are the hand-off seam a wall-clock multi-domain driver
-    uses.
+    uses.  The one exception is a manager's kill of a running
+    cross-shard branch: the aborts of its sibling branches wait until
+    no drain is on the stack, so no manager is entered while another
+    manager call is still running (a sibling that kills the branch
+    itself first gets no abort).
 
     A transaction whose writes all landed on one shard commits
     locally — no coordination at all (the adaptive fast path).  A

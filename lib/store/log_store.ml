@@ -103,7 +103,7 @@ type block = {
 
 type scan = {
   s_blocks : block list;
-  s_stable : (Ids.Oid.t * int) list;
+  s_stable : (Ids.Oid.t * int) array;
   s_segments : int;
   s_stale_blocks : int;
   s_torn_tail : bool;
@@ -135,7 +135,7 @@ let decode_entries img pos avail =
   go 0 []
 
 (* Scans the first [len] bytes of [img] in two steps.  The header walk
-   verifies every header, folds stable segments' facts as it meets
+   verifies every header, collects stable segments' facts as it meets
    them, and keeps only the newest log segment per key; then only
    those survivors' entries are decoded.  A superseded segment adds
    nothing to the result beyond its count, so its entries are never
@@ -144,28 +144,23 @@ let scan_bytes ?upto img ~len =
   let included (h : Codec.header) =
     match upto with None -> true | Some n -> h.h_seq < n
   in
-  (* sized for the most stable facts [len] bytes can hold, so the fold
-     never rehashes *)
-  let stable =
-    Ids.Oid.Table.create
-      (max 16 (len / (Codec.header_bytes + Codec.entry_bytes)))
-  in
-  (* folds a stable segment's valid entry prefix, max version per oid *)
-  let rec fold_stable pos avail =
+  (* every install fact in image order: [facts.(0 .. n_facts - 1)] *)
+  let facts = ref [||] and n_facts = ref 0 in
+  (* appends a stable segment's valid entry prefix *)
+  let rec take_stable pos avail =
     if avail > 0 then
       match Codec.decode_entry img ~pos with
       | None -> ()
       | Some e ->
         (match e with
         | Codec.Stable { oid; version } ->
-          let prev =
-            match Ids.Oid.Table.find_opt stable oid with
-            | Some v -> v
-            | None -> -1
-          in
-          if version > prev then Ids.Oid.Table.replace stable oid version
+          let fact = (oid, version) in
+          if !n_facts = Array.length !facts then
+            facts := Array.append !facts (Array.make (max 64 !n_facts) fact);
+          !facts.(!n_facts) <- fact;
+          incr n_facts
         | Codec.Record _ -> ());
-        fold_stable (pos + Codec.entry_bytes) (avail - 1)
+        take_stable (pos + Codec.entry_bytes) (avail - 1)
   in
   (* newest log segment per key: its header, entry offset and how many
      of its entries the image holds *)
@@ -199,7 +194,7 @@ let scan_bytes ?upto img ~len =
           incr segments;
           if h.h_epoch > !max_epoch then max_epoch := h.h_epoch;
           if h.h_seq > !max_seq then max_seq := h.h_seq;
-          if h.h_gen < 0 then fold_stable body avail
+          if h.h_gen < 0 then take_stable body avail
           else begin
             incr log_segments;
             let key = (h.h_epoch, h.h_gen, h.h_slot) in
@@ -235,13 +230,9 @@ let scan_bytes ?upto img ~len =
       newest []
     |> List.sort (fun a b -> Int.compare a.sb_seq b.sb_seq)
   in
-  let stable_pairs =
-    Ids.Oid.Table.fold (fun oid v acc -> (oid, v) :: acc) stable []
-    |> List.sort (fun (a, _) (b, _) -> Ids.Oid.compare a b)
-  in
   {
     s_blocks = blocks;
-    s_stable = stable_pairs;
+    s_stable = Array.sub !facts 0 !n_facts;
     s_segments = !segments;
     s_stale_blocks = !log_segments - Key.length newest;
     s_torn_tail = !torn_tail;

@@ -127,7 +127,8 @@ type block = {
 
 type scan = {
   s_blocks : block list;  (** newest per key, ascending [seq] *)
-  s_stable : (Ids.Oid.t * int) list;  (** max installed version per oid *)
+  s_stable : (Ids.Oid.t * int) array;
+      (** every valid install fact, in image order, repeats included *)
   s_segments : int;  (** segments examined (log + stable) *)
   s_stale_blocks : int;  (** log segments superseded by a newer seq *)
   s_torn_tail : bool;  (** image ended mid-segment or mid-entry *)
@@ -143,8 +144,10 @@ val scan : ?upto:int -> Backend.t -> scan
     the result: every stable segment, and the newest segment per
     [(epoch, gen, slot)].  A superseded segment counts in [s_segments]
     and [s_stale_blocks] but its entries are never read — they could
-    not change any field.  Work is one visit per header plus one
-    decode per entry of a stable or surviving segment.
+    not change any field.  Install facts are kept as met, neither
+    deduplicated nor sorted: recovery folds them in one pass.  Work is
+    one visit per header plus one decode per entry of a stable or
+    surviving segment.
 
     With [~upto:n], segments with [seq >= n] are parsed past but
     excluded — replaying the image as it stood at {!position} [= n]. *)

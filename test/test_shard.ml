@@ -503,6 +503,48 @@ let test_sharded_min_fw () =
     (Printf.sprintf "%d blocks kills" (blocks - 1))
     false less.Experiment.feasible
 
+(* Kill-heavy EL on 2 and 3 shards: 40 % long transactions, small
+   generations and no recirculation, so the last generation's head
+   kills active writers while a drain is on the stack.  The kill hook
+   must not drain a sibling shard from there: the sibling's own kills
+   would re-enter the killing manager mid head-advance (which tripped
+   [El_manager.free_slot]'s head assertion at 2 shards, 8+10 blocks).
+   Every config runs to the end, kills, and keeps the per-shard commit
+   accounting. *)
+let test_kill_heavy_shards () =
+  List.iter
+    (fun (shards, g0, g1) ->
+      let name = Printf.sprintf "%d shards, %d+%d" shards g0 g1 in
+      let policy =
+        {
+          (El_core.Policy.default ~generation_sizes:[| g0; g1 |]) with
+          El_core.Policy.recirculate = false;
+        }
+      in
+      let cfg =
+        {
+          (Experiment.default_config ~kind:(Experiment.Ephemeral policy)
+             ~mix:(El_workload.Mix.short_long ~long_fraction:0.40))
+          with
+          Experiment.runtime = Time.of_sec 20;
+          shards;
+        }
+      in
+      let rr = Shard_group.run cfg in
+      let g = rr.Shard_group.r_global in
+      Alcotest.(check bool) (name ^ ": kills happened") true
+        (g.Experiment.killed > 0);
+      Alcotest.(check int) (name ^ ": per-shard commits sum")
+        g.Experiment.committed
+        (Array.fold_left
+           (fun n (s : Shard_group.shard_stat) -> n + s.ss_committed)
+           0 rr.Shard_group.r_shards))
+    [
+      (2, 8, 10); (2, 8, 17); (2, 8, 18); (2, 8, 20); (2, 12, 4);
+      (2, 12, 10); (2, 12, 11); (2, 12, 15); (2, 16, 9); (2, 20, 8);
+      (3, 8, 6); (3, 12, 8); (3, 20, 3); (3, 20, 4);
+    ]
+
 let suite =
   [
     Alcotest.test_case "partition tiles the oid space" `Quick
@@ -530,4 +572,6 @@ let suite =
       test_one_shard_identity;
     Alcotest.test_case "per-shard accounting balances" `Quick
       test_shard_accounting;
+    Alcotest.test_case "kill-heavy EL shards run to the end" `Quick
+      test_kill_heavy_shards;
   ]
