@@ -743,47 +743,25 @@ let checkpoint_bench speed =
     | `Full -> El_model.Time.of_sec 300
     | `Quick -> El_model.Time.of_sec 120
   in
-  let ideal =
-    Experiment.run
-      {
-        (Experiment.default_config ~kind:(Experiment.Firewall 512) ~mix) with
-        Experiment.runtime = runtime;
-      }
+  let cfg =
+    {
+      (Experiment.default_config ~kind:(Experiment.Firewall 512) ~mix) with
+      Experiment.runtime = runtime;
+    }
   in
+  let ideal = Experiment.run cfg in
   let run_ckpt interval_s cost =
-    let engine = El_sim.Engine.create () in
-    let fw =
-      El_core.Fw_manager.create engine ~size_blocks:512
+    let live =
+      Experiment.prepare
         ~checkpointing:
           {
             El_core.Fw_manager.interval = El_model.Time.of_sec interval_s;
             cost_blocks = cost;
           }
-        ()
+        cfg
     in
-    let sink =
-      {
-        El_workload.Generator.begin_tx =
-          (fun ~tid ~expected_duration ->
-            El_core.Fw_manager.begin_tx fw ~tid ~expected_duration);
-        write_data =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Fw_manager.write_data fw ~tid ~oid ~version ~size);
-        request_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Fw_manager.request_commit fw ~tid ~on_ack);
-        request_abort =
-          (fun ~tid -> El_core.Fw_manager.request_abort fw ~tid);
-      }
-    in
-    let generator =
-      El_workload.Generator.create engine ~sink ~mix ~arrival_rate:100.0
-        ~runtime ~num_objects:El_model.Params.num_objects ()
-    in
-    El_core.Fw_manager.set_on_kill fw (fun tid ->
-        El_workload.Generator.kill generator tid);
-    El_sim.Engine.run engine ~until:runtime;
-    El_core.Fw_manager.stats fw
+    ignore (live.Experiment.finish ());
+    El_core.Fw_manager.stats (Option.get live.Experiment.fw)
   in
   let seconds = El_model.Time.to_sec_f runtime in
   let row name peak rate checkpoints =

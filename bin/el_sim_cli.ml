@@ -327,14 +327,18 @@ let print_shard_table (rr : El_shard.Shard_group.run_result) =
     rr.El_shard.Shard_group.r_cross_committed rr.El_shard.Shard_group.r_prepares
     rr.El_shard.Shard_group.r_blocked
 
+(* The aggregate report, then the per-shard table when there is more
+   than one shard. *)
+let print_run (rr : El_shard.Shard_group.run_result) =
+  print_result rr.El_shard.Shard_group.r_global;
+  if Array.length rr.El_shard.Shard_group.r_shards > 1 then begin
+    print_newline ();
+    print_shard_table rr
+  end
+
 let run_cmd =
   let action cfg scenario =
-    let rr = El_shard.Shard_group.run (apply_scenario cfg scenario) in
-    print_result rr.El_shard.Shard_group.r_global;
-    if cfg.Experiment.shards > 1 then begin
-      print_newline ();
-      print_shard_table rr
-    end
+    print_run (El_shard.Shard_group.run (apply_scenario cfg scenario))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one simulation and print the report.")
     Term.(const action $ config_term $ scenario_term)
@@ -533,10 +537,14 @@ let trace_cmd =
           sample_period = Time.of_ms sample_ms;
         }
     in
-    let cfg = { cfg with Experiment.observer } in
-    let live = Experiment.prepare cfg in
-    let result = live.Experiment.finish () in
-    let o = Option.get live.Experiment.obs in
+    let g = El_shard.Shard_group.prepare { cfg with Experiment.observer } in
+    let rr =
+      Fun.protect
+        ~finally:(fun () -> El_shard.Shard_group.dispose g)
+        (fun () -> El_shard.Shard_group.finish g)
+    in
+    let result = rr.El_shard.Shard_group.r_global in
+    let o = Option.get (El_shard.Shard_group.obs g) in
     let trace_path = out ^ ".trace.json" in
     let csv_path = out ^ ".timeseries.csv" in
     let summary_path = out ^ ".summary.json" in
@@ -566,7 +574,7 @@ let trace_cmd =
       (El_obs.Sampler.length (El_obs.Obs.sampler o))
       (List.length (El_obs.Sampler.columns (El_obs.Obs.sampler o)));
     Printf.printf "summary: %s\n\n" summary_path;
-    print_result result
+    print_run rr
   in
   Cmd.v
     (Cmd.info "trace"

@@ -135,13 +135,10 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     try f () with Auditor.Audit_failure m -> record_failure ~tag m
   in
   let audit_manager (inst : Experiment.instance) =
-    match
-      (inst.Experiment.i_el, inst.Experiment.i_fw, inst.Experiment.i_hybrid)
-    with
-    | Some m, _, _ -> Auditor.audit_el m
-    | _, Some m, _ -> Auditor.audit_fw m
-    | _, _, Some m -> Auditor.audit_hybrid m
-    | _ -> ()
+    match inst.Experiment.i_manager with
+    | Experiment.El m -> Auditor.audit_el m
+    | Experiment.Fw m -> Auditor.audit_fw m
+    | Experiment.Hybrid m -> Auditor.audit_hybrid m
   in
   let is_el =
     match cfg.Experiment.kind with Experiment.Ephemeral _ -> true | _ -> false
@@ -270,7 +267,7 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       (* Settle: finish the run, write out every partial buffer and let
          pending writes, acks and flushes complete. *)
       Engine.run engine ~until:cfg.Experiment.runtime;
-      Shard_group.drain_managers sg;
+      Shard_group.drain_plants sg;
       Engine.run_all engine;
       `Ok
     with
@@ -338,16 +335,16 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
         refs;
       Array.iteri
         (fun i inst ->
-          match (inst.Experiment.i_el, inst.Experiment.i_hybrid) with
-          | Some m, _ ->
+          match inst.Experiment.i_manager with
+          | Experiment.El m ->
             guarded (fun () -> Reference.check_el refs.(i) m);
             guarded (fun () ->
                 Reference.check_settled_stable refs.(i) (El_manager.stable m))
-          | None, Some _ ->
+          | Experiment.Hybrid _ ->
             guarded (fun () ->
                 Reference.check_settled_stable refs.(i)
                   inst.Experiment.i_stable)
-          | None, None -> ())
+          | Experiment.Fw _ -> ())
         instances
     end;
     (match trackers with
@@ -361,11 +358,10 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
              reason Reference skips its stable check: the baseline
              retires records by log-space reuse, not by a full drain to
              the database. *)
-          let inst = instances.(i) in
-          if
-            Option.is_some inst.Experiment.i_el
-            || Option.is_some inst.Experiment.i_hybrid
-          then guarded (fun () -> Spec_tracker.check_settled t))
+          match instances.(i).Experiment.i_manager with
+          | Experiment.El _ | Experiment.Hybrid _ ->
+            guarded (fun () -> Spec_tracker.check_settled t)
+          | Experiment.Fw _ -> ())
         ts
     | None -> ());
     (* One last composite check over the settled state: the in-doubt
@@ -375,6 +371,7 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
     if recover && is_el && Shard_group.cross_views sg <> [] then
       atomic_commit_check ~tag:final ~audit_shards:false ()
   end;
+  let injected f = Option.fold ~none:0 ~some:f (Shard_group.injector sg) in
   let outcome =
     {
       s_events = Engine.events_dispatched engine;
@@ -390,18 +387,9 @@ let run_slice ~slice ~slices ~stride ~max_points ~recover ~oracle ~spec
       s_max_scanned = !max_scanned;
       s_torn_blocks = !torn_blocks;
       s_torn_records = !torn_records;
-      s_io_retries =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.retries i
-        | None -> 0);
-      s_io_remaps =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.remaps i
-        | None -> 0);
-      s_sheds =
-        (match Shard_group.injector sg with
-        | Some i -> El_fault.Injector.sheds i
-        | None -> 0);
+      s_io_retries = injected El_fault.Injector.retries;
+      s_io_remaps = injected El_fault.Injector.remaps;
+      s_sheds = injected El_fault.Injector.sheds;
       s_spec_checks =
         (match trackers with
         | Some ts ->

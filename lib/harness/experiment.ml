@@ -7,6 +7,15 @@ module El_manager = El_core.El_manager
 module Fw_manager = El_core.Fw_manager
 module Hybrid_manager = El_core.Hybrid_manager
 
+(* The manager inside a plant, as one variant so the plant record has
+   no per-kind fields.  Declared before [manager_kind], whose
+   [Hybrid] therefore stays the default reading of an unannotated
+   [Hybrid sizes]. *)
+type manager =
+  | El of El_manager.t
+  | Fw of Fw_manager.t
+  | Hybrid of Hybrid_manager.t
+
 type manager_kind =
   | Ephemeral of El_core.Policy.t
   | Firewall of int
@@ -121,11 +130,24 @@ type result = {
   store_group_syncs : int;
 }
 
+(* One log-manager plant — everything downstream of the workload sink,
+   with its manager behind one erased face.  Every simulated run, solo
+   or sharded, builds its plants through [build_instance] inside
+   [build]; the server builds its one plant with [build_instance]
+   over the store it attached. *)
+type instance = {
+  i_stable : Stable_db.t;
+  i_flush : Flush_array.t;
+  i_manager : manager;
+  i_store : El_store.Log_store.t option;
+  i_sink : Generator.sink;
+  i_drain : unit -> unit;
+  i_set_on_kill : (Ids.Tid.t -> unit) -> unit;
+}
+
 type live = {
   engine : Engine.t;
-  generator : Generator.t;
   flush : Flush_array.t;
-  stable : Stable_db.t;
   el : El_manager.t option;
   fw : Fw_manager.t option;
   hybrid : Hybrid_manager.t option;
@@ -133,23 +155,6 @@ type live = {
   fault : El_fault.Injector.t option;
   store : El_store.Log_store.t option;
   finish : unit -> result;
-}
-
-(* One log-manager plant — everything downstream of the workload sink.
-   The solo path builds exactly one; the sharded path
-   ({!El_shard.Shard_group}) builds one per shard on a shared engine,
-   which is why the construction lives in its own function: both paths
-   must create the same components in the same order for the
-   shards = 1 byte-identity contract to hold by construction. *)
-type instance = {
-  i_stable : Stable_db.t;
-  i_flush : Flush_array.t;
-  i_el : El_manager.t option;
-  i_fw : Fw_manager.t option;
-  i_hybrid : Hybrid_manager.t option;
-  i_store : El_store.Log_store.t option;
-  i_sink : Generator.sink;
-  i_set_on_kill : (Ids.Tid.t -> unit) -> unit;
 }
 
 let dispose_store = function
@@ -166,37 +171,43 @@ let dispose_instance i = dispose_store i.i_store
 let dispose live = dispose_store live.store
 
 let collect_instance cfg ~generator ~overloaded (inst : instance) =
-  let el_stats = Option.map El_manager.stats inst.i_el in
-  let fw_stats = Option.map Fw_manager.stats inst.i_fw in
-  let hybrid_stats = Option.map Hybrid_manager.stats inst.i_hybrid in
-  let total_blocks, per_gen, mem_peak, evictions, forwarded, recirculated =
-    match (el_stats, fw_stats, hybrid_stats) with
-    | Some s, None, None ->
-      ( Array.fold_left ( + ) 0 s.El_manager.generation_sizes,
-        s.El_manager.log_writes_per_gen,
-        s.El_manager.peak_memory_bytes,
-        s.El_manager.evictions,
-        s.El_manager.forwarded_records,
-        s.El_manager.recirculated_records )
-    | None, Some s, None ->
-      ( s.Fw_manager.size_blocks,
-        [| s.Fw_manager.log_writes |],
-        s.Fw_manager.peak_memory_bytes,
-        0,
-        0,
-        0 )
-    | None, None, Some s ->
-      ( Array.fold_left ( + ) 0 s.Hybrid_manager.queue_sizes,
-        s.Hybrid_manager.log_writes_per_queue,
-        s.Hybrid_manager.peak_memory_bytes,
-        0,
-        s.Hybrid_manager.regenerated_records,
-        0 )
-    | _ -> assert false
+  let ( (total_blocks, per_gen, mem_peak, evictions, forwarded, recirculated),
+        el_stats, fw_stats, hybrid_stats ) =
+    match inst.i_manager with
+    | El m ->
+      let s = El_manager.stats m in
+      ( ( Array.fold_left ( + ) 0 s.El_manager.generation_sizes,
+          s.El_manager.log_writes_per_gen,
+          s.El_manager.peak_memory_bytes,
+          s.El_manager.evictions,
+          s.El_manager.forwarded_records,
+          s.El_manager.recirculated_records ),
+        Some s, None, None )
+    | Fw m ->
+      let s = Fw_manager.stats m in
+      ( ( s.Fw_manager.size_blocks,
+          [| s.Fw_manager.log_writes |],
+          s.Fw_manager.peak_memory_bytes,
+          0, 0, 0 ),
+        None, Some s, None )
+    | Hybrid m ->
+      let s = Hybrid_manager.stats m in
+      ( ( Array.fold_left ( + ) 0 s.Hybrid_manager.queue_sizes,
+          s.Hybrid_manager.log_writes_per_queue,
+          s.Hybrid_manager.peak_memory_bytes,
+          0,
+          s.Hybrid_manager.regenerated_records,
+          0 ),
+        None, None, Some s )
   in
   let log_writes_total = Array.fold_left ( + ) 0 per_gen in
   let seconds = Time.to_sec_f cfg.runtime in
   let killed = Generator.killed generator in
+  let store_count f =
+    match inst.i_store with
+    | None -> 0
+    | Some s -> f (El_store.Backend.counters (El_store.Log_store.backend s))
+  in
   {
     total_blocks;
     log_writes_per_gen = per_gen;
@@ -229,48 +240,110 @@ let collect_instance cfg ~generator ~overloaded (inst : instance) =
       (match inst.i_store with
       | None -> "sim"
       | Some s -> El_store.Backend.name (El_store.Log_store.backend s));
-    store_pwrites =
-      (match inst.i_store with
-      | None -> 0
-      | Some s ->
-        (El_store.Backend.counters (El_store.Log_store.backend s))
-          .El_store.Backend.pwrites);
-    store_barriers =
-      (match inst.i_store with
-      | None -> 0
-      | Some s ->
-        (El_store.Backend.counters (El_store.Log_store.backend s))
-          .El_store.Backend.barriers);
+    store_pwrites = store_count (fun c -> c.El_store.Backend.pwrites);
+    store_barriers = store_count (fun c -> c.El_store.Backend.barriers);
     store_bytes_written =
-      (match inst.i_store with
-      | None -> 0
-      | Some s ->
-        (El_store.Backend.counters (El_store.Log_store.backend s))
-          .El_store.Backend.bytes_written);
+      store_count (fun c -> c.El_store.Backend.bytes_written);
     store_group_syncs =
       (match inst.i_store with
       | None -> 0
       | Some s -> El_store.Log_store.group_syncs s);
   }
 
-let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
-  (* The durable store, when one is configured.  [Log_store.create]
-     truncates, so every prepared run starts from a blank image; the
-     file variant gets a unique image inside the caller's directory so
-     parallel sweep slices never clobber one another. *)
-  let store =
-    let sync_mode =
-      if cfg.group_fsync then El_store.Log_store.Grouped
-      else El_store.Log_store.Immediate
-    in
-    match cfg.backend with
-    | Sim -> None
-    | Mem_store ->
-      Some (El_store.Log_store.create ~sync_mode (El_store.Backend.mem ()))
-    | File_store dir ->
-      let path = Filename.temp_file ~temp_dir:dir "el_store" ".img" in
-      Some (El_store.Log_store.create ~sync_mode (El_store.Backend.file ~path))
+exception Plant_reentered of string
+
+(* One busy flag per plant, around everything that enters it: a call
+   that arrives while one of the plant's own calls is still on the
+   stack raises here, where it enters, instead of corrupting the
+   manager's state and failing at some later invariant.  A call that
+   raises (a protocol misuse the server reports) leaves the plant
+   idle again. *)
+let guard (sink : Generator.sink) drain =
+  let busy = ref false in
+  let enter what =
+    if !busy then
+      raise
+        (Plant_reentered
+           (what ^ " entered a plant while one of its own calls is running"));
+    busy := true
   in
+  let leave_raising e =
+    busy := false;
+    Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
+  in
+  ( {
+      Generator.begin_tx =
+        (fun ~tid ~expected_duration ->
+          enter "begin_tx";
+          try sink.Generator.begin_tx ~tid ~expected_duration; busy := false
+          with e -> leave_raising e);
+      write_data =
+        (fun ~tid ~oid ~version ~size ->
+          enter "write_data";
+          try sink.Generator.write_data ~tid ~oid ~version ~size; busy := false
+          with e -> leave_raising e);
+      request_commit =
+        (fun ~tid ~on_ack ->
+          enter "request_commit";
+          try sink.Generator.request_commit ~tid ~on_ack; busy := false
+          with e -> leave_raising e);
+      request_abort =
+        (fun ~tid ->
+          enter "request_abort";
+          try sink.Generator.request_abort ~tid; busy := false
+          with e -> leave_raising e);
+    },
+    fun () ->
+      enter "drain";
+      try drain (); busy := false with e -> leave_raising e )
+
+(* The calls every manager shares, so one function erases all three
+   into a plant's sink, drain and kill-hook setter. *)
+module type Manager = sig
+  type t
+
+  val begin_tx : t -> tid:Ids.Tid.t -> expected_duration:Time.t -> unit
+
+  val write_data :
+    t -> tid:Ids.Tid.t -> oid:Ids.Oid.t -> version:int -> size:int -> unit
+
+  val request_commit : t -> tid:Ids.Tid.t -> on_ack:(Time.t -> unit) -> unit
+  val request_abort : t -> tid:Ids.Tid.t -> unit
+  val drain : t -> unit
+  val set_on_kill : t -> (Ids.Tid.t -> unit) -> unit
+end
+
+let face (type m) (module M : Manager with type t = m) (m : m) =
+  ( {
+      Generator.begin_tx =
+        (fun ~tid ~expected_duration -> M.begin_tx m ~tid ~expected_duration);
+      write_data =
+        (fun ~tid ~oid ~version ~size -> M.write_data m ~tid ~oid ~version ~size);
+      request_commit = (fun ~tid ~on_ack -> M.request_commit m ~tid ~on_ack);
+      request_abort = (fun ~tid -> M.request_abort m ~tid);
+    },
+    (fun () -> M.drain m),
+    M.set_on_kill m )
+
+(* The durable store a config asks for.  [Log_store.create]
+   truncates, so every built run starts from a blank image; the file
+   variant gets a unique image inside the caller's directory so
+   parallel sweep slices never clobber one another. *)
+let make_store cfg =
+  let sync_mode =
+    if cfg.group_fsync then El_store.Log_store.Grouped
+    else El_store.Log_store.Immediate
+  in
+  match cfg.backend with
+  | Sim -> None
+  | Mem_store ->
+    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.mem ()))
+  | File_store dir ->
+    let path = Filename.temp_file ~temp_dir:dir "el_store" ".img" in
+    Some (El_store.Log_store.create ~sync_mode (El_store.Backend.file ~path))
+
+let build_instance engine (cfg : config) ?obs ?inj ?store ?checkpointing
+    ~num_objects () =
   (match (obs, store) with
   | Some o, Some s ->
     let pwrites = El_obs.Obs.counter o "store.pwrites" in
@@ -293,71 +366,34 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
       ~scheduling:cfg.flush_scheduling ~implementation:cfg.flush_impl ?obs
       ?fault:inj ?store ()
   in
-  let el, fw, hybrid, sink =
+  let manager : manager =
     match cfg.kind with
     | Ephemeral policy ->
-      let m =
-        El_manager.create engine ~policy ~flush ~stable ~pooled:cfg.pooling
-          ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              El_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              El_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> El_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> El_manager.request_abort m ~tid);
-        }
-      in
-      (Some m, None, None, sink)
+      El
+        (El_manager.create engine ~policy ~flush ~stable ~pooled:cfg.pooling
+           ?obs ?fault:inj ?store ())
     | Firewall size_blocks ->
-      let m =
-        Fw_manager.create engine ~size_blocks ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              Fw_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              Fw_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> Fw_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> Fw_manager.request_abort m ~tid);
-        }
-      in
-      (None, Some m, None, sink)
+      Fw
+        (Fw_manager.create engine ~size_blocks ?checkpointing ?obs ?fault:inj
+           ?store ())
     | Hybrid queue_sizes ->
-      let m =
-        Hybrid_manager.create engine ~queue_sizes ~flush ~stable
-          ~pooled:cfg.pooling ?obs ?fault:inj ?store ()
-      in
-      let sink =
-        {
-          Generator.begin_tx =
-            (fun ~tid ~expected_duration ->
-              Hybrid_manager.begin_tx m ~tid ~expected_duration);
-          write_data =
-            (fun ~tid ~oid ~version ~size ->
-              Hybrid_manager.write_data m ~tid ~oid ~version ~size);
-          request_commit =
-            (fun ~tid ~on_ack -> Hybrid_manager.request_commit m ~tid ~on_ack);
-          request_abort = (fun ~tid -> Hybrid_manager.request_abort m ~tid);
-        }
-      in
-      (None, None, Some m, sink)
+      Hybrid
+        (Hybrid_manager.create engine ~queue_sizes ~flush ~stable
+           ~pooled:cfg.pooling ?obs ?fault:inj ?store ())
+  in
+  let sink, drain, set_on_kill =
+    match manager with
+    | El m -> face (module El_manager) m
+    | Fw m -> face (module Fw_manager) m
+    | Hybrid m -> face (module Hybrid_manager) m
   in
   (* Degraded mode: under a fault storm the flush backlog grows
      without bound; past [shed_backlog] newly arriving transactions
      are shed — admitted, then immediately killed and aborted — so
      the system degrades instead of diverging (§5's stress shedding).
-     The wrapper sits inside [wrap_sink] so external oracles see the
-     begin and, through the composite kill, the shed itself. *)
+     The wrapper sits inside the caller's sink wrappers so external
+     oracles see the begin and, through the composite kill, the shed
+     itself. *)
   let shed_kill = ref (fun (_ : Ids.Tid.t) -> ()) in
   let sink =
     match inj with
@@ -386,27 +422,78 @@ let build_instance engine (cfg : config) ?obs ?inj ~num_objects () =
         })
     | None -> sink
   in
-  let set_on_kill f =
-    shed_kill := f;
-    (match el with Some m -> El_manager.set_on_kill m f | None -> ());
-    (match fw with Some m -> Fw_manager.set_on_kill m f | None -> ());
-    match hybrid with Some m -> Hybrid_manager.set_on_kill m f | None -> ()
-  in
+  let sink, drain = guard sink drain in
   {
     i_stable = stable;
     i_flush = flush;
-    i_el = el;
-    i_fw = fw;
-    i_hybrid = hybrid;
+    i_manager = manager;
     i_store = store;
     i_sink = sink;
-    i_set_on_kill = set_on_kill;
+    i_drain = drain;
+    i_set_on_kill =
+      (fun f ->
+        shed_kill := f;
+        set_on_kill f);
   }
 
-let prepare ?(wrap_sink = fun sink -> sink) cfg =
-  if cfg.shards <> 1 then
-    invalid_arg
-      "Experiment.prepare: shards > 1 runs go through El_shard.Shard_group";
+type 'r build = {
+  b_cfg : config;
+  b_engine : Engine.t;
+  b_obs : El_obs.Obs.t option;
+  b_inj : El_fault.Injector.t option;
+  b_plants : instance array;
+  b_generator : Generator.t;
+  b_router : 'r;
+}
+
+(* Time-series probes: the backlog/occupancy/memory curves of §4.  All
+   read-only, sampled at dispatch boundaries by the installed
+   observer, so the simulation itself is untouched.  Plant probes
+   carry a [shard<i>.] prefix when there is more than one plant; the
+   registration order keeps a one-plant run's columns as they always
+   were. *)
+let add_probes o generator plants =
+  let name i n =
+    if Array.length plants = 1 then n else Printf.sprintf "shard%d.%s" i n
+  in
+  let probe i n read =
+    El_obs.Obs.add_probe o ~name:(name i n) (fun () -> float_of_int (read ()))
+  in
+  Array.iteri
+    (fun i p -> probe i "flush_backlog" (fun () -> Flush_array.pending p.i_flush))
+    plants;
+  El_obs.Obs.add_probe o ~name:"active_tx" (fun () ->
+      float_of_int (Generator.active generator));
+  El_obs.Obs.add_probe o ~name:"awaiting_ack" (fun () ->
+      float_of_int (Generator.awaiting_ack generator));
+  Array.iteri
+    (fun i p ->
+      match p.i_manager with
+      | El m ->
+        Array.iteri
+          (fun g _ ->
+            probe i (Printf.sprintf "gen%d_occupancy" g) (fun () ->
+                (El_manager.occupied_blocks m).(g)))
+          (El_manager.occupied_blocks m);
+        probe i "live_memory_bytes" (fun () ->
+            El_core.Ledger.memory_bytes (El_manager.ledger m))
+      | Fw m ->
+        probe i "fw_occupancy" (fun () ->
+            (Fw_manager.audit_view m).Fw_manager.ra_occupied);
+        probe i "live_memory_bytes" (fun () ->
+            (Fw_manager.stats m).Fw_manager.current_memory_bytes)
+      | Hybrid m ->
+        Array.iteri
+          (fun q _ ->
+            probe i (Printf.sprintf "queue%d_occupancy" q) (fun () ->
+                (Hybrid_manager.audit_view m).(q).Hybrid_manager.qa_occupied))
+          (Hybrid_manager.audit_view m);
+        probe i "live_memory_bytes" (fun () ->
+            (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes))
+    plants
+
+let build cfg ~plants ~num_objects ?(wrap_sink = fun _ sink -> sink)
+    ?checkpointing ~router ~on_kill () =
   let engine = Engine.create ~seed:cfg.seed () in
   let obs =
     Option.map (fun c -> El_obs.Obs.create ~config:c engine) cfg.observer
@@ -415,16 +502,14 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
      fault-free path, so a default config is byte-identical to a build
      without fault injection. *)
   let inj = El_fault.Injector.create cfg.fault in
-  let inst =
-    build_instance engine cfg ?obs ?inj ~num_objects:cfg.num_objects ()
+  let insts =
+    Array.init plants (fun _ ->
+        build_instance engine cfg ?obs ?inj ?store:(make_store cfg)
+          ?checkpointing ~num_objects ())
   in
-  let stable = inst.i_stable in
-  let flush = inst.i_flush in
-  let el = inst.i_el in
-  let fw = inst.i_fw in
-  let hybrid = inst.i_hybrid in
-  let store = inst.i_store in
-  let sink = wrap_sink inst.i_sink in
+  let r, sink =
+    router (Array.mapi (fun i inst -> wrap_sink i inst.i_sink) insts)
+  in
   (* Contention hooks feed the trace ring only — observability, never
      control flow, so on/off observer identity holds under skew too. *)
   let on_contention ~tid ~oid ~attempt =
@@ -449,86 +534,73 @@ let prepare ?(wrap_sink = fun sink -> sink) cfg =
       ~max_retries:cfg.max_retries ~retry_backoff:cfg.retry_backoff
       ~on_contention ~on_retry ~num_objects:cfg.num_objects ()
   in
-  inst.i_set_on_kill (fun tid ->
-      Generator.kill generator tid;
-      if cfg.stop_at_kill then Engine.halt engine);
-  (* Time-series probes: the backlog/occupancy/memory curves of §4.
-     All read-only, sampled at dispatch boundaries by the installed
-     observer, so the simulation itself is untouched. *)
+  Array.iteri
+    (fun i inst ->
+      inst.i_set_on_kill (fun tid ->
+          on_kill r generator i tid;
+          (* Halt only once the generator counts a kill: a plant kill
+             the router absorbs (a blocked 2PC branch) leaves the run
+             feasible, so it must run on to the end. *)
+          if cfg.stop_at_kill && Generator.killed generator > 0 then
+            Engine.halt engine))
+    insts;
   (match obs with
   | None -> ()
   | Some o ->
-    El_obs.Obs.add_probe o ~name:"flush_backlog" (fun () ->
-        float_of_int (Flush_array.pending flush));
-    El_obs.Obs.add_probe o ~name:"active_tx" (fun () ->
-        float_of_int (Generator.active generator));
-    El_obs.Obs.add_probe o ~name:"awaiting_ack" (fun () ->
-        float_of_int (Generator.awaiting_ack generator));
-    (match el with
-    | Some m ->
-      Array.iteri
-        (fun i _ ->
-          El_obs.Obs.add_probe o
-            ~name:(Printf.sprintf "gen%d_occupancy" i)
-            (fun () -> float_of_int (El_manager.occupied_blocks m).(i)))
-        (El_manager.occupied_blocks m);
-      El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
-          float_of_int
-            (El_core.Ledger.memory_bytes (El_manager.ledger m)))
-    | None -> ());
-    (match fw with
-    | Some m ->
-      El_obs.Obs.add_probe o ~name:"fw_occupancy" (fun () ->
-          float_of_int (Fw_manager.audit_view m).Fw_manager.ra_occupied);
-      El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
-          float_of_int (Fw_manager.stats m).Fw_manager.current_memory_bytes)
-    | None -> ());
-    (match hybrid with
-    | Some m ->
-      Array.iteri
-        (fun i _ ->
-          El_obs.Obs.add_probe o
-            ~name:(Printf.sprintf "queue%d_occupancy" i)
-            (fun () ->
-              (Hybrid_manager.audit_view m).(i).Hybrid_manager.qa_occupied
-              |> float_of_int))
-        (Hybrid_manager.audit_view m);
-      El_obs.Obs.add_probe o ~name:"live_memory_bytes" (fun () ->
-          float_of_int
-            (Hybrid_manager.stats m).Hybrid_manager.current_memory_bytes)
-    | None -> ());
+    add_probes o generator insts;
     El_obs.Obs.install o);
-  let rec live =
-    {
-      engine;
-      generator;
-      flush;
-      stable;
-      el;
-      fw;
-      hybrid;
-      obs;
-      fault = inj;
-      store;
-      finish = (fun () -> finish ());
-    }
-  and finish () =
-    let overloaded =
-      try
-        Engine.run engine ~until:cfg.runtime;
-        false
-      with El_manager.Log_overloaded _ -> true
-    in
-    (* Under Grouped sync a tail of appended-but-unsynced segments can
-       remain; one final barrier makes the end-of-run image durable
-       (no-op when clean or Immediate). *)
-    (match live.store with
-    | Some s -> El_store.Log_store.sync s
-    | None -> ());
-    (match obs with Some o -> El_obs.Obs.finish o | None -> ());
-    collect_instance cfg ~generator ~overloaded inst
+  {
+    b_cfg = cfg;
+    b_engine = engine;
+    b_obs = obs;
+    b_inj = inj;
+    b_plants = insts;
+    b_generator = generator;
+    b_router = r;
+  }
+
+let run_to_end b =
+  let overloaded =
+    try
+      Engine.run b.b_engine ~until:b.b_cfg.runtime;
+      false
+    with El_manager.Log_overloaded _ -> true
   in
-  live
+  (* Under Grouped sync a tail of appended-but-unsynced segments can
+     remain; one final barrier makes the end-of-run image durable
+     (no-op when clean or Immediate). *)
+  Array.iter
+    (fun p -> Option.iter El_store.Log_store.sync p.i_store)
+    b.b_plants;
+  Option.iter El_obs.Obs.finish b.b_obs;
+  overloaded
+
+let prepare ?(wrap_sink = fun sink -> sink) ?checkpointing cfg =
+  if cfg.shards <> 1 then
+    invalid_arg
+      "Experiment.prepare: shards > 1 runs go through El_shard.Shard_group";
+  let b =
+    build cfg ~plants:1 ~num_objects:cfg.num_objects
+      ~wrap_sink:(fun _ sink -> wrap_sink sink)
+      ?checkpointing ~router:(fun sinks -> ((), sinks.(0)))
+      ~on_kill:(fun () generator _ tid -> Generator.kill generator tid)
+      ()
+  in
+  let inst = b.b_plants.(0) in
+  {
+    engine = b.b_engine;
+    flush = inst.i_flush;
+    el = (match inst.i_manager with El m -> Some m | _ -> None);
+    fw = (match inst.i_manager with Fw m -> Some m | _ -> None);
+    hybrid = (match inst.i_manager with Hybrid m -> Some m | _ -> None);
+    obs = b.b_obs;
+    fault = b.b_inj;
+    store = inst.i_store;
+    finish =
+      (fun () ->
+        let overloaded = run_to_end b in
+        collect_instance cfg ~generator:b.b_generator ~overloaded inst);
+  }
 
 let run cfg =
   let live = prepare cfg in

@@ -9,6 +9,13 @@
 
 open El_model
 
+(** The manager inside a plant ({!instance}).  Declared first, so an
+    unannotated [Hybrid sizes] still means the {!manager_kind}. *)
+type manager =
+  | El of El_core.El_manager.t
+  | Fw of El_core.Fw_manager.t
+  | Hybrid of El_core.Hybrid_manager.t
+
 type manager_kind =
   | Ephemeral of El_core.Policy.t
   | Firewall of int  (** log size in blocks *)
@@ -106,10 +113,10 @@ type config = {
           kill already decides that a size is infeasible. *)
   shards : int;
       (** number of oid-range partitions, each with its own manager
-          plant (1 — the default — is the solo path).  {!prepare}
-          itself only accepts 1; configs with [shards > 1] run through
-          [El_shard.Shard_group], which shares this record so every
-          sweep and CLI surface carries one config type. *)
+          plant (1 — the default — is the solo path).  Both callers
+          of {!build} read it: {!prepare} builds one plant with no
+          router and rejects [shards > 1]; [El_shard.Shard_group] puts
+          the plants behind its 2PC router. *)
 }
 
 val default_config : kind:manager_kind -> mix:El_workload.Mix.t -> config
@@ -168,9 +175,7 @@ val run : config -> result
     want to crash it mid-flight or inspect internals. *)
 type live = {
   engine : El_sim.Engine.t;
-  generator : El_workload.Generator.t;
   flush : El_disk.Flush_array.t;
-  stable : El_disk.Stable_db.t;
   el : El_core.El_manager.t option;  (** when [kind] is [Ephemeral] *)
   fw : El_core.Fw_manager.t option;
   hybrid : El_core.Hybrid_manager.t option;
@@ -196,12 +201,15 @@ val dispose : live -> unit
 
 val prepare :
   ?wrap_sink:(El_workload.Generator.sink -> El_workload.Generator.sink) ->
+  ?checkpointing:El_core.Fw_manager.checkpointing ->
   config ->
   live
 (** [wrap_sink] interposes an observer between the workload generator
     and the log manager (a tracer shadowing every logging call); it
     must forward each call to the sink it was given.  Defaults to
-    doing nothing. *)
+    doing nothing.  [checkpointing] gives a [Firewall] plant the
+    checkpoints the paper's FW baseline omits (none by default; other
+    kinds ignore it). *)
 
 val run_with_crash :
   config -> crash_at:Time.t -> result * El_recovery.Recovery.result * El_recovery.Recovery.audit
@@ -228,41 +236,84 @@ val run_with_crash_store :
     recovery describe the same crash, so their recovered states must
     agree (pinned by the backend-equivalence tests). *)
 
-(** {2 Plant instances — the sharding seam}
+(** {2 Plants — the one builder}
 
-    One log-manager plant: store, stable database, flush array,
-    manager and workload-facing sink.  {!prepare} builds exactly one;
-    [El_shard.Shard_group] builds one per shard on a shared engine.
-    Both go through {!build_instance}, so a 1-shard group is the solo
-    plant by construction. *)
+    A plant is one log manager with its store, stable database, flush
+    array and workload-facing sink.  {!build} is the only place a
+    simulated run's engine, observer hub, fault injector, stores,
+    plants and generator are created: {!prepare} calls it for one
+    plant and no router, [El_shard.Shard_group] for N plants behind
+    its router, so a 1-shard group is the solo run by construction.
+    [El_serve.Serve] builds its one plant with {!build_instance} over
+    the store it attached. *)
 type instance = {
   i_stable : El_disk.Stable_db.t;
   i_flush : El_disk.Flush_array.t;
-  i_el : El_core.El_manager.t option;
-  i_fw : El_core.Fw_manager.t option;
-  i_hybrid : El_core.Hybrid_manager.t option;
+  i_manager : manager;
   i_store : El_store.Log_store.t option;
   i_sink : El_workload.Generator.sink;
-      (** the plant's workload face, already wrapped in the degraded
-          load-shedding layer when the fault plan arms one *)
+      (** the manager's calls, inside the degraded load-shedding layer
+          when the fault plan arms one, inside the re-entry guard *)
+  i_drain : unit -> unit;  (** the manager's [drain], guarded too *)
   i_set_on_kill : (El_model.Ids.Tid.t -> unit) -> unit;
-      (** installs the kill callback on the plant's manager and its
-          shedding wrapper *)
+      (** installs the kill callback on the manager and the shedding
+          layer *)
 }
+
+exception Plant_reentered of string
+(** Raised by [i_sink] or [i_drain] when a plant is entered while one
+    of its own calls is on the stack (say, a kill hook calling back
+    into the manager that killed); the message names the entry. *)
 
 val build_instance :
   El_sim.Engine.t ->
   config ->
   ?obs:El_obs.Obs.t ->
   ?inj:El_fault.Injector.t ->
+  ?store:El_store.Log_store.t ->
+  ?checkpointing:El_core.Fw_manager.checkpointing ->
   num_objects:int ->
   unit ->
   instance
-(** Builds one plant on [engine].  [num_objects] sizes the stable
-    database and flush array — the sharded path passes the global oid
-    range plus its 2PC control region, the solo path passes
-    [cfg.num_objects].  Creates its own store image per the config's
-    [backend] (one per instance, so shards never share a disk). *)
+(** One plant on [engine], from the config's kind, flush and pooling
+    fields, writing to [store] if given ([cfg.backend] is not read).
+    [num_objects] sizes the stable database and flush array;
+    [checkpointing] reaches a [Firewall] manager only (see {!prepare}). *)
+
+type 'r build = {
+  b_cfg : config;
+  b_engine : El_sim.Engine.t;
+  b_obs : El_obs.Obs.t option;  (** iff [cfg.observer] is set *)
+  b_inj : El_fault.Injector.t option;
+      (** iff [cfg.fault] is non-empty; one stream for every plant *)
+  b_plants : instance array;
+  b_generator : El_workload.Generator.t;
+  b_router : 'r;
+}
+
+val build :
+  config ->
+  plants:int ->
+  num_objects:int ->
+  ?wrap_sink:(int -> El_workload.Generator.sink -> El_workload.Generator.sink) ->
+  ?checkpointing:El_core.Fw_manager.checkpointing ->
+  router:(El_workload.Generator.sink array -> 'r * El_workload.Generator.sink) ->
+  on_kill:('r -> El_workload.Generator.t -> int -> El_model.Ids.Tid.t -> unit) ->
+  unit ->
+  'r build
+(** Builds [plants] plants of [num_objects] objects, each with its own
+    store as [cfg.backend] says.  [wrap_sink i] interposes on plant
+    [i]'s sink; [router] takes the wrapped sinks and returns its state
+    and the generator's sink.  A kill by plant [i] calls
+    [on_kill router generator i tid], then halts the engine if
+    [cfg.stop_at_kill] and the generator has counted a kill.
+    [checkpointing] is {!build_instance}'s, for every plant.  An
+    observer gets the time-series probes, plant probes prefixed
+    [shard<i>.] when [plants > 1]. *)
+
+val run_to_end : 'r build -> bool
+(** Runs the engine to [cfg.runtime], syncs every store, finishes the
+    observer; [true] if a manager overloaded and stopped the run. *)
 
 val dispose_instance : instance -> unit
 (** Closes the instance's store backend and removes its image file,

@@ -1,6 +1,7 @@
 open El_model
 module Engine = El_sim.Engine
 module Experiment = El_harness.Experiment
+module Generator = El_workload.Generator
 
 type config = {
   image : string;
@@ -23,20 +24,11 @@ let default_config ~image =
     group_fsync = false;
   }
 
-(* The same quad every manager exposes, erased to closures so the
-   protocol loop is manager-agnostic (mirrors Experiment's sink). *)
-type sink = {
-  s_begin : tid:Ids.Tid.t -> unit;
-  s_write : tid:Ids.Tid.t -> oid:Ids.Oid.t -> version:int -> size:int -> unit;
-  s_commit : tid:Ids.Tid.t -> on_ack:(Time.t -> unit) -> unit;
-  s_abort : tid:Ids.Tid.t -> unit;
-  s_drain : unit -> unit;
-}
-
 type t = {
   engine : Engine.t;
   store : El_store.Log_store.t;
-  sink : sink;
+  sink : Generator.sink;  (* the plant's guarded workload face *)
+  drain : unit -> unit;
   killed : (int, unit) Hashtbl.t;
   acked : (int, unit) Hashtbl.t;
   recovered : El_recovery.Recovery.result;
@@ -73,78 +65,26 @@ let start cfg =
     El_recovery.Recovery.recover_scan ~num_objects:cfg.num_objects scan
   in
   let engine = Engine.create ~seed:0 () in
-  let killed = Hashtbl.create 64 in
-  let on_kill tid = Hashtbl.replace killed (Ids.Tid.to_int tid) () in
-  let sink =
-    match cfg.kind with
-    | Experiment.Ephemeral policy ->
-      let flush =
-        El_disk.Flush_array.create engine ~drives:10
-          ~transfer_time:(Time.of_ms 1) ~num_objects:cfg.num_objects ~store ()
-      in
-      let stable = El_disk.Stable_db.create ~num_objects:cfg.num_objects in
-      let m =
-        El_core.El_manager.create engine ~policy ~flush ~stable ~store ()
-      in
-      El_core.El_manager.set_on_kill m on_kill;
+  (* The simulator's plant over the attached store, on ten 1 ms flush
+     drives; a plant reads none of the config's traffic fields. *)
+  let plant =
+    Experiment.build_instance engine
       {
-        s_begin =
-          (fun ~tid ->
-            El_core.El_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.El_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.El_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.El_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.El_manager.drain m);
+        (Experiment.default_config ~kind:cfg.kind
+           ~mix:(El_workload.Mix.short_long ~long_fraction:0.05))
+        with
+        Experiment.flush_transfer = Time.of_ms 1;
       }
-    | Experiment.Firewall size_blocks ->
-      let m = El_core.Fw_manager.create engine ~size_blocks ~store () in
-      El_core.Fw_manager.set_on_kill m on_kill;
-      {
-        s_begin =
-          (fun ~tid ->
-            El_core.Fw_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Fw_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Fw_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.Fw_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.Fw_manager.drain m);
-      }
-    | Experiment.Hybrid queue_sizes ->
-      let flush =
-        El_disk.Flush_array.create engine ~drives:10
-          ~transfer_time:(Time.of_ms 1) ~num_objects:cfg.num_objects ~store ()
-      in
-      let stable = El_disk.Stable_db.create ~num_objects:cfg.num_objects in
-      let m =
-        El_core.Hybrid_manager.create engine ~queue_sizes ~flush ~stable
-          ~store ()
-      in
-      El_core.Hybrid_manager.set_on_kill m on_kill;
-      {
-        s_begin =
-          (fun ~tid ->
-            El_core.Hybrid_manager.begin_tx m ~tid ~expected_duration);
-        s_write =
-          (fun ~tid ~oid ~version ~size ->
-            El_core.Hybrid_manager.write_data m ~tid ~oid ~version ~size);
-        s_commit =
-          (fun ~tid ~on_ack ->
-            El_core.Hybrid_manager.request_commit m ~tid ~on_ack);
-        s_abort = (fun ~tid -> El_core.Hybrid_manager.request_abort m ~tid);
-        s_drain = (fun () -> El_core.Hybrid_manager.drain m);
-      }
+      ~store ~num_objects:cfg.num_objects ()
   in
+  let killed = Hashtbl.create 64 in
+  plant.Experiment.i_set_on_kill (fun tid ->
+      Hashtbl.replace killed (Ids.Tid.to_int tid) ());
   {
     engine;
     store;
-    sink;
+    sink = plant.Experiment.i_sink;
+    drain = plant.Experiment.i_drain;
     killed;
     acked = Hashtbl.create 64;
     recovered;
@@ -185,7 +125,8 @@ let exec t line =
       let r =
         guarded (fun () ->
             with_int tid (fun n ->
-                t.sink.s_begin ~tid:(Ids.Tid.of_int n);
+                t.sink.Generator.begin_tx ~tid:(Ids.Tid.of_int n)
+                  ~expected_duration;
                 settle ();
                 ok "begun %d" n))
       in
@@ -206,7 +147,7 @@ let exec t line =
                             if on >= t.num_objects then
                               err "oid %d out of range" on
                             else begin
-                              t.sink.s_write ~tid:(Ids.Tid.of_int tn)
+                              t.sink.Generator.write_data ~tid:(Ids.Tid.of_int tn)
                                 ~oid:(Ids.Oid.of_int on) ~version:vn ~size:sn;
                               settle ();
                               ok "written %d %d %d" tn on vn
@@ -218,7 +159,7 @@ let exec t line =
         guarded (fun () ->
             with_int tid (fun n ->
                 let acked_at = ref None in
-                t.sink.s_commit ~tid:(Ids.Tid.of_int n)
+                t.sink.Generator.request_commit ~tid:(Ids.Tid.of_int n)
                   ~on_ack:(fun at -> acked_at := Some at);
                 (* Force partial buffers out and run every consequence:
                    by the time drain+settle return, the COMMIT record's
@@ -226,7 +167,7 @@ let exec t line =
                    segment (Immediate) or by the single group barrier
                    below — so the ack below is an ack of durable
                    state. *)
-                t.sink.s_drain ();
+                t.drain ();
                 settle ();
                 El_store.Log_store.sync t.store;
                 match !acked_at with
@@ -243,7 +184,7 @@ let exec t line =
       let r =
         guarded (fun () ->
             with_int tid (fun n ->
-                t.sink.s_abort ~tid:(Ids.Tid.of_int n);
+                t.sink.Generator.request_abort ~tid:(Ids.Tid.of_int n);
                 settle ();
                 ok "aborted %d" n))
       in

@@ -2,7 +2,10 @@
 
     The server wires one log manager (EL by default) to a
     {!El_store.Backend.file} image and accepts transactions over a
-    line protocol — from stdin or a Unix-domain socket.  Each command
+    line protocol — from stdin or a Unix-domain socket.  The plant is
+    the simulator's own ({!El_harness.Experiment.build_instance} over
+    the attached store, ten 1 ms flush drives), driven through its
+    erased sink and drain.  Each command
     steps the simulation engine until every consequence has settled,
     so a response is only written after the store has absorbed (and
     fsynced) everything the command caused.  In particular

@@ -1,5 +1,4 @@
 open El_model
-module Engine = El_sim.Engine
 module Generator = El_workload.Generator
 module Recovery = El_recovery.Recovery
 module Experiment = El_harness.Experiment
@@ -73,12 +72,11 @@ type gtx_view = {
   v_decision_oid : Ids.Oid.t option;
 }
 
-type t = {
-  cfg : Experiment.config;
-  sg_engine : Engine.t;
+(* The router between the generator and the shard plants: mailboxes,
+   2PC registry and counters.  The plants, engine and generator live
+   in the {!Experiment.build} that carries it. *)
+type router = {
   part : Partition.t;
-  sg_instances : Experiment.instance array;
-  sg_inj : El_fault.Injector.t option;
   sinks : Generator.sink array;  (* oracle-wrapped shard sinks *)
   mailboxes : op Spsc.t array;
   slot_pools : slot_pool array;
@@ -88,7 +86,6 @@ type t = {
       (* sibling aborts held back until no drain is on the stack *)
   retain_cross : bool;
   mutable cross_log : gtx list;  (* newest first; ≥ 2 participants only *)
-  mutable gen : Generator.t option;
   mutable singles : int;
   mutable cross : int;
   mutable blocked_n : int;
@@ -98,6 +95,8 @@ type t = {
   decision_n : int array;
 }
 
+type t = router Experiment.build
+
 let marker_size = 16
 let decision_duration = Time.of_ms 1
 
@@ -106,12 +105,14 @@ let decision_duration = Time.of_ms 1
    gtids start at 0.  Still strictly monotone per reused slot. *)
 let ctl_version ~gtid = gtid + 1
 
-let engine t = t.sg_engine
-let partition t = t.part
-let instances t = t.sg_instances
-let config t = t.cfg
-let injector t = t.sg_inj
-let generator t = Option.get t.gen
+let engine (t : t) = t.Experiment.b_engine
+let partition (t : t) = t.Experiment.b_router.part
+let instances (t : t) = t.Experiment.b_plants
+let config (t : t) = t.Experiment.b_cfg
+let injector (t : t) = t.Experiment.b_inj
+let obs (t : t) = t.Experiment.b_obs
+let generator (t : t) = t.Experiment.b_generator
+let router (t : t) = t.Experiment.b_router
 
 let view g =
   {
@@ -123,21 +124,23 @@ let view g =
     v_decision_oid = g.decision_oid;
   }
 
-let cross_views t = List.rev_map view t.cross_log
+let cross_views t = List.rev_map view (router t).cross_log
 
+(* At one shard no router is on the path: every generator ack is the
+   shard's own. *)
 let single_committed t =
-  if t.cfg.Experiment.shards = 1 then Generator.committed (generator t)
-  else t.singles
+  if Array.length (instances t) = 1 then Generator.committed (generator t)
+  else (router t).singles
 
-let cross_committed t = t.cross
-let blocked t = t.blocked_n
+let cross_committed t = (router t).cross
+let blocked t = (router t).blocked_n
 
 let shard_committed t =
-  if t.cfg.Experiment.shards = 1 then [| Generator.committed (generator t) |]
-  else Array.copy t.shard_commits
+  if Array.length (instances t) = 1 then [| Generator.committed (generator t) |]
+  else Array.copy (router t).shard_commits
 
-let mailbox_ops t = Array.map Spsc.pushed t.mailboxes
-let branch_acks t = Array.copy t.branch_ack_n
+let mailbox_ops t = Array.map Spsc.pushed (router t).mailboxes
+let branch_acks t = Array.copy (router t).branch_ack_n
 
 (* --- The router ------------------------------------------------- *)
 
@@ -163,6 +166,9 @@ let rec drain t p =
   t.draining <- t.draining + 1;
   loop ();
   t.draining <- t.draining - 1;
+  deliver_pending t
+
+and deliver_pending t =
   if t.draining = 0 then
     match t.pending with
     | [] -> ()
@@ -363,7 +369,7 @@ let route_commit t ~tid ~on_ack =
    (siblings aborted, generator told); a mid-protocol kill blocks the
    transaction — 2PC's classic failure mode, resolved by presumed
    abort at recovery. *)
-let on_manager_kill t i tid =
+let on_manager_kill t generator i tid =
   (* a branch that dies before its held-back abort arrives takes none *)
   t.pending <- List.filter (fun (p, x) -> p <> i || x <> tid) t.pending;
   if Two_pc.is_decision_tid tid then begin
@@ -382,7 +388,7 @@ let on_manager_kill t i tid =
   end
   else
     match Hashtbl.find_opt t.registry (Ids.Tid.to_int tid) with
-    | None -> Generator.kill (generator t) tid
+    | None -> Generator.kill generator tid
     | Some g -> (
       let prior = Two_pc.phase g.pc in
       match Two_pc.kill g.pc with
@@ -394,7 +400,7 @@ let on_manager_kill t i tid =
             if p <> i then abort_after_kill t p tid)
           ps;
         settle t g;
-        Generator.kill (generator t) tid
+        Generator.kill generator tid
       | `Blocked -> (
         match prior with
         | Two_pc.Preparing _ | Two_pc.Deciding ->
@@ -407,17 +413,10 @@ let on_manager_kill t i tid =
 
 let prepare ?(wrap_shard_sink = fun _ sink -> sink)
     ?(on_shard_kill = fun _ _ -> ()) ?(retain_cross = false) ?ctl_slots
-    (cfg : Experiment.config) =
+    (cfg : Experiment.config) : t =
   if cfg.Experiment.shards < 1 then
     invalid_arg "Shard_group.prepare: shards must be >= 1";
-  if cfg.Experiment.observer <> None then
-    invalid_arg "Shard_group.prepare: the observer rides the solo path only";
   let n = cfg.Experiment.shards in
-  (* Construction order matches Experiment.prepare exactly — engine,
-     injector, instance, generator, kill hook — so a 1-shard group is
-     the solo run, byte for byte. *)
-  let sg_engine = Engine.create ~seed:cfg.Experiment.seed () in
-  let inj = El_fault.Injector.create cfg.Experiment.fault in
   let part =
     Partition.create ?ctl_slots ~shards:n
       ~num_objects:cfg.Experiment.num_objects ()
@@ -430,95 +429,52 @@ let prepare ?(wrap_shard_sink = fun _ sink -> sink)
     let d = max 1 cfg.Experiment.flush_drives in
     (total + d - 1) / d * d
   in
-  let sg_instances =
-    Array.init n (fun _ ->
-        Experiment.build_instance sg_engine cfg ?inj ~num_objects:plant_objects
-          ())
-  in
-  let sinks =
-    Array.mapi
-      (fun i inst -> wrap_shard_sink i inst.Experiment.i_sink)
-      sg_instances
-  in
-  let t =
-    {
-      cfg;
-      sg_engine;
-      part;
-      sg_instances;
-      sg_inj = inj;
-      sinks;
-      mailboxes = Array.init n (fun _ -> Spsc.create ~capacity:1024);
-      slot_pools =
-        Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
-      registry = Hashtbl.create 1024;
-      draining = 0;
-      pending = [];
-      retain_cross;
-      cross_log = [];
-      gen = None;
-      singles = 0;
-      cross = 0;
-      blocked_n = 0;
-      prepares = 0;
-      shard_commits = Array.make n 0;
-      branch_ack_n = Array.make n 0;
-      decision_n = Array.make n 0;
-    }
-  in
-  let sink =
-    if n = 1 then sinks.(0)  (* no router at all: the solo fast path *)
-    else
+  let router sinks =
+    let t =
       {
-        Generator.begin_tx =
-          (fun ~tid ~expected_duration -> route_begin t ~tid ~expected_duration);
-        write_data =
-          (fun ~tid ~oid ~version ~size ->
-            route_write t ~tid ~oid ~version ~size);
-        request_commit = (fun ~tid ~on_ack -> route_commit t ~tid ~on_ack);
-        request_abort = (fun ~tid -> route_abort t ~tid);
+        part;
+        sinks;
+        mailboxes = Array.init n (fun _ -> Spsc.create ~capacity:1024);
+        slot_pools =
+          Array.init n (fun _ -> make_slot_pool (Partition.ctl_slots part));
+        registry = Hashtbl.create 1024;
+        draining = 0;
+        pending = [];
+        retain_cross;
+        cross_log = [];
+        singles = 0;
+        cross = 0;
+        blocked_n = 0;
+        prepares = 0;
+        shard_commits = Array.make n 0;
+        branch_ack_n = Array.make n 0;
+        decision_n = Array.make n 0;
       }
+    in
+    let sink =
+      if n = 1 then sinks.(0)  (* no router at all: the solo fast path *)
+      else
+        {
+          Generator.begin_tx =
+            (fun ~tid ~expected_duration ->
+              route_begin t ~tid ~expected_duration);
+          write_data =
+            (fun ~tid ~oid ~version ~size ->
+              route_write t ~tid ~oid ~version ~size);
+          request_commit = (fun ~tid ~on_ack -> route_commit t ~tid ~on_ack);
+          request_abort = (fun ~tid -> route_abort t ~tid);
+        }
+    in
+    (t, sink)
   in
-  let generator =
-    Generator.create sg_engine ~sink ~mix:cfg.Experiment.mix
-      ~arrival_rate:cfg.Experiment.arrival_rate
-      ~runtime:cfg.Experiment.runtime
-      ~arrival_process:cfg.Experiment.arrival_process
-      ~abort_fraction:cfg.Experiment.abort_fraction ~draw:cfg.Experiment.draw
-      ~lifetime:cfg.Experiment.lifetime
-      ~max_retries:cfg.Experiment.max_retries
-      ~retry_backoff:cfg.Experiment.retry_backoff
-      ~num_objects:cfg.Experiment.num_objects ()
-  in
-  t.gen <- Some generator;
-  Array.iteri
-    (fun i inst ->
-      inst.Experiment.i_set_on_kill (fun tid ->
-          on_shard_kill i tid;
-          on_manager_kill t i tid;
-          (* Halt only once the generator counts a kill: a branch that
-             merely blocks a 2PC transaction leaves the run feasible,
-             so it must run on to the end. *)
-          if cfg.Experiment.stop_at_kill && Generator.killed generator > 0
-          then Engine.halt sg_engine))
-    sg_instances;
-  t
+  Experiment.build cfg ~plants:n ~num_objects:plant_objects
+    ~wrap_sink:wrap_shard_sink ~router
+    ~on_kill:(fun t generator i tid ->
+      on_shard_kill i tid;
+      on_manager_kill t generator i tid)
+    ()
 
 (* --- Driving and collecting ------------------------------------- *)
-
-let drain_managers t =
-  Array.iter
-    (fun inst ->
-      (match inst.Experiment.i_el with
-      | Some m -> El_core.El_manager.drain m
-      | None -> ());
-      (match inst.Experiment.i_fw with
-      | Some m -> El_core.Fw_manager.drain m
-      | None -> ());
-      match inst.Experiment.i_hybrid with
-      | Some m -> El_core.Hybrid_manager.drain m
-      | None -> ())
-    t.sg_instances
 
 type shard_stat = {
   ss_shard : int;
@@ -596,28 +552,27 @@ let merge_results (cfg : Experiment.config) (rs : Experiment.result array) =
   }
 
 let collect t ~overloaded =
-  let gen = generator t in
+  let cfg = config t in
+  let rt = router t in
   let rs =
     Array.map
-      (Experiment.collect_instance t.cfg ~generator:gen ~overloaded)
-      t.sg_instances
+      (Experiment.collect_instance cfg ~generator:(generator t) ~overloaded)
+      (instances t)
   in
-  let global =
-    if Array.length rs = 1 then rs.(0) else merge_results t.cfg rs
-  in
+  let global = if Array.length rs = 1 then rs.(0) else merge_results cfg rs in
   let commits = shard_committed t in
   let ops = mailbox_ops t in
   let shards =
     Array.mapi
       (fun i r ->
-        let lo, hi = Partition.range t.part i in
+        let lo, hi = Partition.range rt.part i in
         {
           ss_shard = i;
           ss_lo = lo;
           ss_hi = hi;
           ss_committed = commits.(i);
-          ss_branch_acks = t.branch_ack_n.(i);
-          ss_decisions = t.decision_n.(i);
+          ss_branch_acks = rt.branch_ack_n.(i);
+          ss_decisions = rt.decision_n.(i);
           ss_mailbox_ops = ops.(i);
           ss_result = r;
         })
@@ -627,27 +582,22 @@ let collect t ~overloaded =
     r_global = global;
     r_shards = shards;
     r_single_committed = single_committed t;
-    r_cross_committed = t.cross;
-    r_prepares = t.prepares;
-    r_blocked = t.blocked_n;
+    r_cross_committed = rt.cross;
+    r_prepares = rt.prepares;
+    r_blocked = rt.blocked_n;
   }
 
-let finish t =
-  let overloaded =
-    try
-      Engine.run t.sg_engine ~until:t.cfg.Experiment.runtime;
-      false
-    with El_core.El_manager.Log_overloaded _ -> true
-  in
-  Array.iter
-    (fun inst ->
-      match inst.Experiment.i_store with
-      | Some s -> El_store.Log_store.sync s
-      | None -> ())
-    t.sg_instances;
-  collect t ~overloaded
+let finish t = collect t ~overloaded:(Experiment.run_to_end t)
 
-let dispose t = Array.iter Experiment.dispose_instance t.sg_instances
+(* A plant's drain can kill, and a kill can abort sibling branches: it
+   counts as a drain on the stack, so those aborts wait for it. *)
+let drain_plants t =
+  let rt = router t in
+  rt.draining <- rt.draining + 1;
+  Array.iter (fun inst -> inst.Experiment.i_drain ()) (instances t);
+  rt.draining <- rt.draining - 1;
+  deliver_pending rt
+let dispose t = Array.iter Experiment.dispose_instance (instances t)
 
 let run cfg =
   let t = prepare cfg in
@@ -660,8 +610,8 @@ let run_global cfg = (run cfg).r_global
 let crash_images t =
   Array.map
     (fun inst ->
-      match inst.Experiment.i_el with
-      | Some m -> Recovery.crash t.sg_engine m
-      | None ->
+      match inst.Experiment.i_manager with
+      | Experiment.El m -> Recovery.crash (engine t) m
+      | Experiment.Fw _ | Experiment.Hybrid _ ->
         invalid_arg "Shard_group.crash_images: EL shards only (no FW model)")
-    t.sg_instances
+    (instances t)

@@ -23,12 +23,15 @@
     then a decision transaction on the coordinator shard; the client
     acknowledgement fires only when the decision record is durable.
 
-    With [shards = 1] the router vanishes: the generator talks to the
-    single plant's sink directly, and because plants are built by
-    {!El_harness.Experiment.build_instance} — the same function the
-    solo path uses, called in the same order — a 1-shard group is
-    byte-identical to {!El_harness.Experiment.run} on the same config
-    (pinned by a Marshal-identity test). *)
+    A group is an {!El_harness.Experiment.build} with this router on
+    top: the engine, observer hub, fault injector, stores, plants and
+    generator come from that one builder, the solo
+    {!El_harness.Experiment.prepare} included.  With [shards = 1] the
+    router vanishes — the generator talks to the single plant's sink
+    directly — so a 1-shard group is the solo run, byte for byte
+    (pinned by a Marshal-identity test).  An observer in the config
+    sees every shard: one hub, with each shard's time-series probes
+    prefixed [shard<i>.] when there is more than one. *)
 
 open El_model
 module Experiment = El_harness.Experiment
@@ -54,8 +57,7 @@ val prepare :
     shard).  With [cfg.stop_at_kill], the shared engine halts at the
     first kill the generator counts; a branch kill that only blocks a
     2PC transaction does not halt it.  Raises [Invalid_argument] if
-    the config carries an observer (unsupported on the sharded path)
-    or [shards < 1]. *)
+    [shards < 1]. *)
 
 val engine : t -> El_sim.Engine.t
 val generator : t -> El_workload.Generator.t
@@ -67,9 +69,9 @@ val injector : t -> El_fault.Injector.t option
 (** The shared fault injector, when the config's plan is non-empty —
     one stream across all shards, consumed in deterministic order. *)
 
-val drain_managers : t -> unit
-(** [El_manager.drain]-equivalent on every shard's manager — the
-    sweep's settle step. *)
+val obs : t -> El_obs.Obs.t option
+(** The group's observer hub, when the config sets one — hand it to
+    {!El_obs.Export} after {!finish}. *)
 
 (** {2 2PC registry views — the composite oracle's raw material} *)
 
@@ -158,8 +160,13 @@ val collect : t -> overloaded:bool -> run_result
     the engine themselves. *)
 
 val finish : t -> run_result
-(** Runs the engine to the config's runtime, syncs every store and
-    collects.  Overload on any shard stops the whole run, as solo. *)
+(** {!El_harness.Experiment.run_to_end}, then {!collect}.  Overload on
+    any shard stops the whole run, as solo. *)
+
+val drain_plants : t -> unit
+(** Writes out every plant's partial buffers ([i_drain] on each), as
+    one drain on the router's stack: sibling aborts that the drains'
+    kills raise are delivered once every plant is drained. *)
 
 val dispose : t -> unit
 (** Closes and removes every shard's store image. *)

@@ -191,6 +191,57 @@ let test_lifetime_hint_reduces_forwarding () =
     < base.Experiment.forwarded_records / 2);
   Alcotest.(check bool) "still no kills" true hinted.Experiment.feasible
 
+(* The plant's re-entry guard: a kill hook that calls back into the
+   plant that issued the kill must fail where it enters, with the named
+   error.  The same plant under an honest hook (the generator's kill)
+   runs on and kills. *)
+let test_reentry_guard () =
+  List.iter
+    (fun (name, kind) ->
+      let drive ~reenter =
+        let cfg =
+          {
+            (paper_cfg ~kind ~runtime:20 ~long:0.4 ()) with
+            Experiment.num_objects = 10_000;
+          }
+        in
+        let engine = El_sim.Engine.create ~seed:cfg.Experiment.seed () in
+        let inst =
+          Experiment.build_instance engine cfg ~num_objects:10_000 ()
+        in
+        let gen =
+          El_workload.Generator.create engine ~sink:inst.Experiment.i_sink
+            ~mix:cfg.Experiment.mix ~arrival_rate:100.0
+            ~runtime:cfg.Experiment.runtime ~num_objects:10_000 ()
+        in
+        inst.Experiment.i_set_on_kill (fun tid ->
+            if reenter then
+              inst.Experiment.i_sink.El_workload.Generator.request_abort ~tid
+            else El_workload.Generator.kill gen tid);
+        El_sim.Engine.run engine ~until:cfg.Experiment.runtime;
+        El_workload.Generator.killed gen
+      in
+      Alcotest.(check bool)
+        (name ^ ": an honest kill hook runs on and kills")
+        true
+        (drive ~reenter:false > 0);
+      match drive ~reenter:true with
+      | _ -> Alcotest.failf "%s: re-entering kill hook was not caught" name
+      | exception Experiment.Plant_reentered msg ->
+        Alcotest.(check bool)
+          (name ^ ": the error names the entry point")
+          true
+          (String.starts_with ~prefix:"request_abort" msg))
+    [
+      ("FW 12 blocks", Experiment.Firewall 12);
+      ( "EL 8+10, no recirculation",
+        Experiment.Ephemeral
+          {
+            (Policy.default ~generation_sizes:[| 8; 10 |]) with
+            Policy.recirculate = false;
+          } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "FW bandwidth matches payload arithmetic" `Quick
@@ -217,4 +268,6 @@ let suite =
       test_fifo_flush_hurts_locality;
     Alcotest.test_case "lifetime hints cut forward traffic" `Quick
       test_lifetime_hint_reduces_forwarding;
+    Alcotest.test_case "a plant re-entered from its kill hook fails by name"
+      `Quick test_reentry_guard;
   ]

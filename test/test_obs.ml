@@ -330,7 +330,33 @@ let test_observer_does_not_change_result () =
   let off = Experiment.run { observed_cfg with Experiment.observer = None } in
   let on = Experiment.run observed_cfg in
   Alcotest.(check bool) "same-seed results byte-identical" true
-    (Marshal.to_string off [] = Marshal.to_string on [])
+    (Marshal.to_string off [] = Marshal.to_string on []);
+  (* The sharded path builds its observer in the same place: two
+     shards, observer off and on, the same run — and each shard's
+     probes sampled under its own prefix. *)
+  let module Shard_group = El_shard.Shard_group in
+  let sharded = { observed_cfg with Experiment.shards = 2 } in
+  let off = Shard_group.run { sharded with Experiment.observer = None } in
+  let g = Shard_group.prepare sharded in
+  let on =
+    Fun.protect
+      ~finally:(fun () -> Shard_group.dispose g)
+      (fun () -> Shard_group.finish g)
+  in
+  Alcotest.(check bool) "2 shards: same-seed results byte-identical" true
+    (Marshal.to_string off [] = Marshal.to_string on []);
+  Alcotest.(check bool) "2 shards: cross-shard commits flowed" true
+    (on.Shard_group.r_cross_committed > 0);
+  let columns =
+    El_obs.Sampler.columns (Obs.sampler (Option.get (Shard_group.obs g)))
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c ^ " sampled") true (List.mem c columns))
+    [
+      "shard0.flush_backlog"; "shard1.flush_backlog"; "active_tx";
+      "shard0.gen0_occupancy"; "shard1.live_memory_bytes";
+    ]
 
 let suite =
   [

@@ -32,7 +32,11 @@ let config ~image ~fresh =
 let child_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "serve_child.exe"
 
-let with_server ?(group_fsync = false) ~image ~fresh f =
+(* The manager a child serves, as its command-line flags. *)
+let kinds =
+  [ ("el", [||]); ("fw", [| "--fw"; "512" |]); ("hybrid", [| "--hybrid"; "16,16" |]) ]
+
+let with_server ?(group_fsync = false) ?(kind = [||]) ~image ~fresh f =
   let c2s_r, c2s_w = Unix.pipe ~cloexec:false () in
   let s2c_r, s2c_w = Unix.pipe ~cloexec:false () in
   let args =
@@ -41,6 +45,7 @@ let with_server ?(group_fsync = false) ~image ~fresh f =
         [| child_exe; image |];
         (if fresh then [| "--fresh" |] else [||]);
         (if group_fsync then [| "--group-fsync" |] else [||]);
+        kind;
       ]
   in
   let pid = Unix.create_process child_exe args c2s_r s2c_w Unix.stderr in
@@ -71,10 +76,10 @@ let recovered_tids image =
       List.sort compare
         (List.map Ids.Tid.to_int r.Recovery.committed_tids))
 
-let test_clean_session () =
+let test_clean_session kind () =
   with_temp_dir (fun dir ->
       let image = Filename.concat dir "disk.img" in
-      with_server ~image ~fresh:true (fun pid ic oc ->
+      with_server ~kind ~image ~fresh:true (fun pid ic oc ->
           Alcotest.(check string) "begin" "ok begun 1" (command oc ic "BEGIN 1");
           Alcotest.(check string)
             "write" "ok written 1 10 1"
@@ -208,16 +213,16 @@ let test_group_fsync_batches_and_survives () =
 
 (* Restarting on the same image must see earlier epochs' commits and
    add its own without shadowing them. *)
-let test_restart_accumulates () =
+let test_restart_accumulates kind () =
   with_temp_dir (fun dir ->
       let image = Filename.concat dir "disk.img" in
-      with_server ~image ~fresh:true (fun _pid ic oc ->
+      with_server ~kind ~image ~fresh:true (fun _pid ic oc ->
           ignore (command oc ic "BEGIN 1");
           ignore (command oc ic "WRITE 1 1 1");
           Alcotest.(check string) "first epoch commit" "ok committed 1"
             (command oc ic "COMMIT 1");
           ignore (command oc ic "QUIT"));
-      with_server ~image ~fresh:false (fun _pid ic oc ->
+      with_server ~kind ~image ~fresh:false (fun _pid ic oc ->
           Alcotest.(check string) "sees epoch 0" "recovered 1 1"
             (command oc ic "RECOVERED");
           Alcotest.(check string) "epoch 0's write readable" "ok read 1 1"
@@ -263,15 +268,25 @@ let test_exec_protocol () =
           Alcotest.(check bool) "quit stops" true
             (Serve.exec t "QUIT" = (Some "bye", false))))
 
+(* One case per manager kind a server can run; the EL case's name
+   carries no suffix. *)
+let per_kind name test =
+  List.map
+    (fun (k, args) ->
+      let name = if k = "el" then name else Printf.sprintf "%s (%s)" name k in
+      Alcotest.test_case name `Quick (test args))
+    kinds
+
 let suite =
-  [
-    Alcotest.test_case "clean session, scan agrees" `Quick test_clean_session;
-    Alcotest.test_case "SIGKILL loses no acked commit" `Quick
-      test_sigkill_recovers_acked;
-    Alcotest.test_case "group fsync batches, SIGKILL-safe" `Quick
-      test_group_fsync_batches_and_survives;
-    Alcotest.test_case "restart accumulates epochs" `Quick
-      test_restart_accumulates;
-    Alcotest.test_case "protocol errors are survivable" `Quick
-      test_exec_protocol;
-  ]
+  per_kind "clean session, scan agrees" test_clean_session
+  @ [
+      Alcotest.test_case "SIGKILL loses no acked commit" `Quick
+        test_sigkill_recovers_acked;
+      Alcotest.test_case "group fsync batches, SIGKILL-safe" `Quick
+        test_group_fsync_batches_and_survives;
+    ]
+  @ per_kind "restart accumulates epochs" test_restart_accumulates
+  @ [
+      Alcotest.test_case "protocol errors are survivable" `Quick
+        test_exec_protocol;
+    ]

@@ -366,26 +366,79 @@ let test_sharded_sweeps () =
 
 (* ---- 1-shard group = solo path, byte for byte ---- *)
 
+(* Over both plant inputs the builder reads — the store backend and
+   the fault plan, here a storm that tears, retries and sheds load. *)
 let test_one_shard_identity () =
+  let spec =
+    {
+      El_fault.Fault_plan.clean_spec with
+      El_fault.Fault_plan.transient_rate = 0.3;
+      transient_burst = 4;
+      torn_rate = 0.4;
+    }
+  in
+  let slow =
+    {
+      spec with
+      El_fault.Fault_plan.latency =
+        [
+          {
+            El_fault.Fault_plan.w_from = Time.of_sec 2;
+            w_until = Time.of_sec 8;
+            w_factor = 8.0;
+          };
+        ];
+    }
+  in
+  let storm =
+    El_fault.Fault_plan.make ~seed:5 ~spares:10_000
+      ~degraded:{ El_fault.Fault_plan.shed_backlog = 6 }
+      ~log_spec:spec ~flush_spec:slow ~log_gens:2 ~flush_drives:2 ()
+  in
+  let shed = ref 0 in
   List.iter
     (fun (name, kind) ->
-      let cfg =
-        Sweep.standard_config ~kind ~runtime:(Time.of_sec 10) ~seed:9 ()
-      in
-      let solo = Experiment.run cfg in
-      let grouped = Shard_group.run cfg in
-      Alcotest.(check bool)
-        (name ^ ": r_global Marshal byte-identical to the solo result")
-        true
-        (Marshal.to_string solo [] = Marshal.to_string grouped.Shard_group.r_global []);
-      Alcotest.(check int)
-        (name ^ ": no cross-shard traffic at one shard")
-        0 grouped.Shard_group.r_cross_committed;
-      Alcotest.(check int)
-        (name ^ ": every commit is a fast-path single")
-        grouped.Shard_group.r_global.Experiment.committed
-        grouped.Shard_group.r_single_committed)
-    (Sweep.standard_kinds ())
+      List.iter
+        (fun (backend, fault, input) ->
+          let name = Printf.sprintf "%s, %s" name input in
+          let cfg =
+            {
+              (Sweep.standard_config ~kind ~runtime:(Time.of_sec 10) ~seed:9
+                 ~backend ())
+              with
+              Experiment.fault;
+            }
+          in
+          let live = Experiment.prepare cfg in
+          let solo =
+            Fun.protect
+              ~finally:(fun () -> Experiment.dispose live)
+              live.Experiment.finish
+          in
+          Option.iter
+            (fun i -> shed := !shed + El_fault.Injector.sheds i)
+            live.Experiment.fault;
+          let grouped = Shard_group.run cfg in
+          Alcotest.(check bool)
+            (name ^ ": r_global Marshal byte-identical to the solo result")
+            true
+            (Marshal.to_string solo []
+            = Marshal.to_string grouped.Shard_group.r_global []);
+          Alcotest.(check int)
+            (name ^ ": no cross-shard traffic at one shard")
+            0 grouped.Shard_group.r_cross_committed;
+          Alcotest.(check int)
+            (name ^ ": every commit is a fast-path single")
+            grouped.Shard_group.r_global.Experiment.committed
+            grouped.Shard_group.r_single_committed)
+        [
+          (Experiment.Sim, El_fault.Fault_plan.empty, "sim");
+          (Experiment.Mem_store, El_fault.Fault_plan.empty, "mem store");
+          (Experiment.Sim, storm, "sim + fault storm");
+          (Experiment.Mem_store, storm, "mem store + fault storm");
+        ])
+    (Sweep.standard_kinds ());
+  Alcotest.(check bool) "the storm shed transactions" true (!shed > 0)
 
 (* ---- per-shard accounting ---- *)
 
@@ -545,6 +598,68 @@ let test_kill_heavy_shards () =
       (3, 8, 6); (3, 12, 8); (3, 20, 3); (3, 20, 4);
     ]
 
+(* Over small EL geometries, 2 and 3 shards, light to kill-heavy
+   mixes and recirculation on or off, a sharded run either finishes or
+   reports the documented overload: no assertion, no re-entered plant,
+   no unknown transaction.  [Shard_group.run] turns [Log_overloaded]
+   into [overloaded = true], so any exception out of it fails.  The
+   same config then settles as the crash-point sweep does, with every
+   plant drained after the run. *)
+let prop_sharded_el_total =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (shards, long, (g0, g1), recirculate, seed) ->
+          (shards, long, g0, g1, recirculate, seed))
+        (tup5 (oneofl [ 2; 3 ]) (oneofl [ 5; 20; 40 ])
+           (pair (int_range 8 20) (int_range 3 20))
+           bool (int_bound 1000)))
+  in
+  let print (shards, long, g0, g1, recirculate, seed) =
+    Printf.sprintf "%d shards, %d%% long, %d+%d, recirculation %b, seed %d"
+      shards long g0 g1 recirculate seed
+  in
+  QCheck.Test.make ~count:60
+    ~name:"sharded EL runs raise nothing but Log_overloaded"
+    (QCheck.make ~print gen)
+    (fun (shards, long, g0, g1, recirculate, seed) ->
+      let policy =
+        {
+          (El_core.Policy.default ~generation_sizes:[| g0; g1 |]) with
+          El_core.Policy.recirculate;
+        }
+      in
+      let cfg =
+        {
+          (Experiment.default_config ~kind:(Experiment.Ephemeral policy)
+             ~mix:
+               (El_workload.Mix.short_long
+                  ~long_fraction:(float_of_int long /. 100.0)))
+          with
+          Experiment.runtime = Time.of_sec 20;
+          num_objects = 100_000;
+          seed;
+          shards;
+        }
+      in
+      (match Shard_group.run cfg with
+      | (_ : Shard_group.run_result) -> ()
+      | exception El_core.El_manager.Log_overloaded _ -> ());
+      (* The sweep's settle: run to the end, write out every plant's
+         partial buffers, then let the engine empty. *)
+      let sg = Shard_group.prepare cfg in
+      Fun.protect
+        ~finally:(fun () -> Shard_group.dispose sg)
+        (fun () ->
+          let engine = Shard_group.engine sg in
+          match
+            El_sim.Engine.run engine ~until:cfg.Experiment.runtime;
+            Shard_group.drain_plants sg;
+            El_sim.Engine.run_all engine
+          with
+          | () -> true
+          | exception El_core.El_manager.Log_overloaded _ -> true))
+
 let suite =
   [
     Alcotest.test_case "partition tiles the oid space" `Quick
@@ -574,4 +689,5 @@ let suite =
       test_shard_accounting;
     Alcotest.test_case "kill-heavy EL shards run to the end" `Quick
       test_kill_heavy_shards;
+    QCheck_alcotest.to_alcotest prop_sharded_el_total;
   ]
